@@ -2,7 +2,6 @@
 #define ROBUST_SAMPLING_NET_COLLECTOR_H_
 
 #include <errno.h>
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -47,8 +46,8 @@ namespace net {
 //    contribution — nothing is ever double-counted, at worst the merge is
 //    stale by one outage.
 //  * Checkpoints persist the raw per-shipper frames (each internally
-//    checksummed) via the same write-tmp / fsync / rename / fsync-parent
-//    protocol as ShardedPipeline::Checkpoint, so a kill -9 at any moment
+//    checksummed) through wire::WriteFileAtomic, the same writer as
+//    ShardedPipeline::Checkpoint, so a kill -9 at any moment
 //    leaves either the previous or the new complete checkpoint on disk.
 //    A restarted collector restores the exact per-shipper state and
 //    answers queries identically.
@@ -60,20 +59,6 @@ namespace net {
 // ---------------------------------------------------------------------------
 
 namespace internal {
-
-/// fsync on the directory containing `path` so a rename into it is
-/// durable (same dance as ShardedPipeline's checkpoint, which keeps the
-/// helper private).
-inline void SyncParentDirectory(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;
-  fsync(fd);
-  close(fd);
-}
 
 inline constexpr char kCollectorCheckpointMagic[4] = {'R', 'N', 'C', 'K'};
 
@@ -545,23 +530,11 @@ class Collector {
       wire::PutVarint(body, state.produced_ns);
       wire::PutVarint(body, state.total_ingested);
     }
-    const std::string& path = options_.checkpoint_path;
-    const std::string tmp = path + ".tmp";
-    {
-      wire::FileSink file(tmp);
-      if (!wire::WriteFramedBody(file, internal::kCollectorCheckpointMagic,
-                                 body.bytes()) ||
-          !file.SyncAndClose()) {
-        std::remove(tmp.c_str());
-        return CheckpointFail(error, "collector: cannot write " + tmp);
-      }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-      std::remove(tmp.c_str());
-      return CheckpointFail(error, "collector: cannot rename " + path);
-    }
-    internal::SyncParentDirectory(path);
-    return true;
+    // The writer records its own failures in the flight recorder.
+    return wire::WriteFileAtomic(options_.checkpoint_path,
+                                 internal::kCollectorCheckpointMagic,
+                                 body.bytes(), wire::BodyEncoding::kNone,
+                                 error);
   }
 
   /// Loads options_.checkpoint_path. False with empty error = no file
@@ -635,12 +608,6 @@ class Collector {
     }
     *out = std::move(restored);
     return true;
-  }
-
-  static bool CheckpointFail(std::string* error, std::string reason) {
-    obs::FlightRecorder::Global().RecordError("net", reason);
-    if (error != nullptr) *error = std::move(reason);
-    return false;
   }
 
   void RecordReject(const std::string& detail) {

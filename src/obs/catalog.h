@@ -53,7 +53,7 @@ Counter& PipelineShardElements(size_t shard);
 Counter& PipelineProducerElements(size_t producer);
 Gauge& PipelineRingOccupancyHwm();
 /// Hash-partition pass latency per batch (hash + bucket + scatter +
-/// publish, both the vectorized and per-element paths).
+/// publish).
 Histogram& PipelinePartitionNs();
 Histogram& PipelineFlushNs();
 Histogram& PipelineCheckpointNs();

@@ -1,6 +1,7 @@
 #include "wire/codec.h"
 
 #include <errno.h>
+#include <fcntl.h>
 #include <pthread.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -593,6 +594,14 @@ bool FramedError(std::string* error, const char magic[4],
   return false;
 }
 
+// WriteFileAtomic failures get the same treatment: the reason goes to the
+// caller and into the flight recorder.
+bool AtomicWriteError(std::string* error, std::string reason) {
+  obs::FlightRecorder::Global().RecordError("wire", "atomic write: " + reason);
+  if (error != nullptr) *error = std::move(reason);
+  return false;
+}
+
 }  // namespace
 
 bool WriteFramedBody(ByteSink& sink, const char magic[4],
@@ -703,6 +712,38 @@ bool ReadFramedBody(ByteSource& source, const char magic[4],
     }
   }
   if (format_version != nullptr) *format_version = version;
+  return true;
+}
+
+bool WriteFileAtomic(const std::string& path, const char magic[4],
+                     std::span<const uint8_t> body, BodyEncoding encoding,
+                     std::string* error) {
+  const std::string tmp = path + ".tmp";
+  {
+    FileSink file(tmp);
+    // An over-limit body fails here too, leaving the previous file in
+    // place — never produce a file the reader would reject.
+    if (!WriteFramedBody(file, magic, body, encoding) ||
+        !file.SyncAndClose()) {
+      std::remove(tmp.c_str());
+      return AtomicWriteError(error, "cannot write " + tmp);
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return AtomicWriteError(error, "cannot rename " + tmp + " to " + path);
+  }
+  const size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos
+                              ? std::string(".")
+                              : path.substr(0, slash == 0 ? 1 : slash);
+  const int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) {
+    return AtomicWriteError(error, "cannot open directory " + dir);
+  }
+  const bool synced = fsync(fd) == 0;
+  close(fd);
+  if (!synced) return AtomicWriteError(error, "cannot fsync directory " + dir);
   return true;
 }
 

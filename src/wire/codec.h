@@ -645,6 +645,19 @@ bool ReadFramedBody(ByteSource& source, const char magic[4],
                     std::vector<uint8_t>* body, std::string* error,
                     uint64_t* format_version = nullptr);
 
+/// The one atomic-file writer behind every checkpoint (RSCK and RNCK; see
+/// docs/wire.md "Checkpoint atomicity"): frames `body` into
+/// `path + ".tmp"`, fsyncs and closes it, renames it over `path`, then
+/// fsyncs the parent directory so the rename itself is durable. A crash
+/// at any step leaves either the previous or the new complete file at
+/// `path`. On failure returns false, stores a one-line reason in `error`
+/// (if non-null), records it in the flight recorder and removes the tmp
+/// file; a failed directory fsync is a failure too, since the new file
+/// may not survive a crash.
+bool WriteFileAtomic(const std::string& path, const char magic[4],
+                     std::span<const uint8_t> body, BodyEncoding encoding,
+                     std::string* error);
+
 }  // namespace wire
 }  // namespace robust_sampling
 

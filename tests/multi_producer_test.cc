@@ -5,9 +5,9 @@
 // and checkpoint/restore — while the workers race them. Tiny ring
 // capacities keep every blocking edge hot.
 //
-// Also the bit-identity oracle for the vectorized hash-partition pass:
-// with a single producer, the counting-sort scatter must yield exactly
-// the per-shard sequences of the per-element routing path, asserted as
+// Also the bit-identity oracle for the hash-partition pass: with a single
+// producer, the counting-sort scatter must yield exactly the per-shard
+// sequences of a reference partitioner written here, asserted as
 // checkpoint *byte* equality for CountMin and SpaceSaving.
 //
 // This file is part of the TSan CI job (test regex `^(pipeline|obs|
@@ -16,6 +16,7 @@
 // with ingestion — FlushRacesIngestionCleanly is the regression test that
 // fails under TSan on the old protocol.
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -31,8 +32,11 @@
 #include "core/random.h"
 #include "gtest/gtest.h"
 #include "pipeline/sharded_pipeline.h"
+#include "pipeline/sketch_registry.h"
 #include "pipeline/stream_sketch.h"
 #include "stream/generators.h"
+#include "wire/codec.h"
+#include "wire/snapshot.h"
 
 namespace robust_sampling {
 namespace {
@@ -237,54 +241,94 @@ TEST(MultiProducerTest, CheckpointRestoreUnderConcurrentIngestion) {
   std::remove(final_path.c_str());
 }
 
-// --- vectorized hash partition bit-identity ---------------------------------
+// --- hash partition vs a reference partitioner ------------------------------
 
-// The counting-sort scatter and the per-element routing loop must deliver
-// the same elements in the same order to every shard. Order matters for
-// SpaceSaving (evictions depend on arrival order), so checkpoint *byte*
-// equality across the two paths is the strongest possible statement:
-// every shard's full serialized state — counters, heap order and all — is
-// identical.
-void ExpectPartitionPathsBitIdentical(const SketchConfig& config) {
-  const auto stream = ZipfIntStream(100000, 3000, 1.1, 1399);
-  auto run = [&](bool vectorized) {
-    PipelineOptions options;
-    options.num_shards = 4;
-    options.partition = PartitionPolicy::kHash;
-    options.ring_capacity = 8;
-    options.vectorized_hash_partition = vectorized;
-    ShardedPipeline<int64_t> pipeline(config, options);
-    Rng rng(1409);  // same batch boundaries for both runs
-    size_t offset = 0;
-    while (offset < stream.size()) {
-      const size_t len = std::min<size_t>(1 + rng.NextBelow(777),
-                                          stream.size() - offset);
-      pipeline.Ingest(std::span<const int64_t>(stream.data() + offset, len));
-      offset += len;
+// The counting-sort pass must deliver to every shard exactly the elements
+// of each batch that hash there, in batch order. The reference below
+// never touches the pipeline's partition code: it stably splits each
+// batch by the documented element hash and feeds every per-shard run to
+// its own sketch (seeded like shard s), then frames the shard states as
+// an RSCK checkpoint. Order matters for SpaceSaving (evictions depend on
+// arrival order), so checkpoint *byte* equality is the strongest
+// possible statement: every shard's full serialized state — counters,
+// heap order and all — is identical.
+std::vector<char> ReferenceCheckpoint(const SketchConfig& config,
+                                      const std::vector<int64_t>& stream,
+                                      const std::vector<size_t>& batches,
+                                      size_t num_shards) {
+  std::vector<StreamSketch<int64_t>> shards;
+  for (size_t s = 0; s < num_shards; ++s) {
+    shards.push_back(SketchRegistry<int64_t>::Global().Create(
+        config, MixSeed(config.seed, uint64_t{s})));
+  }
+  size_t offset = 0;
+  for (size_t len : batches) {
+    for (size_t s = 0; s < num_shards; ++s) {
+      std::vector<int64_t> run;
+      for (size_t i = offset; i < offset + len; ++i) {
+        const uint64_t h = MixSeed(static_cast<uint64_t>(stream[i]),
+                                   0x9e3779b97f4a7c15ULL);
+        if (h % num_shards == s) run.push_back(stream[i]);
+      }
+      if (!run.empty()) shards[s].InsertBatch(run);
     }
-    const std::string path = TempPath(
-        "multi_producer_identity_" + config.kind +
-        (vectorized ? "_vec.ck" : "_ref.ck"));
-    std::string error;
-    EXPECT_TRUE(pipeline.Checkpoint(path, &error)) << error;
-    std::vector<char> bytes = ReadAllBytes(path);
-    std::remove(path.c_str());
-    EXPECT_FALSE(bytes.empty());
-    return bytes;
-  };
-  EXPECT_EQ(run(true), run(false)) << config.kind;
+    offset += len;
+  }
+  wire::BufferSink body;
+  wire::PutString(body, wire::ElementTypeTag<int64_t>());
+  wire::WriteSketchConfig(body, config);
+  wire::PutVarint(body, num_shards);
+  wire::PutVarint(body, 0);  // round-robin cursor: untouched under kHash
+  wire::PutVarint(body, stream.size());
+  for (const auto& shard : shards) {
+    wire::BufferSink payload;
+    shard.SerializeTo(payload);
+    wire::PutBytes(body, payload.bytes());
+  }
+  wire::BufferSink file;
+  EXPECT_TRUE(wire::WriteFramedBody(file, "RSCK", body.bytes()));
+  return std::vector<char>(file.bytes().begin(), file.bytes().end());
 }
 
-TEST(MultiProducerTest, VectorizedPartitionBitIdenticalCountMin) {
-  ExpectPartitionPathsBitIdentical(CountMinConfig(1423));
+void ExpectPartitionMatchesReference(const SketchConfig& config) {
+  constexpr size_t kShards = 4;
+  const auto stream = ZipfIntStream(100000, 3000, 1.1, 1399);
+  std::vector<size_t> batches;
+  Rng rng(1409);
+  for (size_t offset = 0; offset < stream.size(); offset += batches.back()) {
+    batches.push_back(std::min<size_t>(1 + rng.NextBelow(777),
+                                       stream.size() - offset));
+  }
+  PipelineOptions options;
+  options.num_shards = kShards;
+  options.partition = PartitionPolicy::kHash;
+  options.ring_capacity = 8;
+  ShardedPipeline<int64_t> pipeline(config, options);
+  size_t offset = 0;
+  for (size_t len : batches) {
+    pipeline.Ingest(std::span<const int64_t>(stream.data() + offset, len));
+    offset += len;
+  }
+  const std::string path =
+      TempPath("multi_producer_identity_" + config.kind + ".ck");
+  std::string error;
+  ASSERT_TRUE(pipeline.Checkpoint(path, &error)) << error;
+  const std::vector<char> bytes = ReadAllBytes(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(bytes, ReferenceCheckpoint(config, stream, batches, kShards))
+      << config.kind;
 }
 
-TEST(MultiProducerTest, VectorizedPartitionBitIdenticalSpaceSaving) {
+TEST(MultiProducerTest, HashPartitionMatchesReferenceCountMin) {
+  ExpectPartitionMatchesReference(CountMinConfig(1423));
+}
+
+TEST(MultiProducerTest, HashPartitionMatchesReferenceSpaceSaving) {
   SketchConfig config;
   config.kind = "space_saving";
   config.capacity = 64;
   config.seed = 1427;
-  ExpectPartitionPathsBitIdentical(config);
+  ExpectPartitionMatchesReference(config);
 }
 
 // --- flush fencing ----------------------------------------------------------

@@ -429,7 +429,7 @@ TEST(PipelineStressTest, SteadyStateMultiProducerIngestIsAllocationFree) {
 // Property test: randomized interleavings of RegisterProducer / Ingest /
 // Flush / Snapshot / Checkpoint / ShardStreamSizes across random
 // topologies (shards, ring sizes, producer counts, both partition
-// policies, both hash-partition implementations). Two invariants checked
+// policies). Two invariants checked
 // on every schedule:
 //   1. conservation — after the producers join, total_ingested and the
 //      merged snapshot's StreamSize equal the stream length exactly;
@@ -450,7 +450,6 @@ void FuzzOneSchedule(uint64_t seed) {
                                             : PartitionPolicy::kRoundRobin;
   options.ring_capacity = 1 + rng.NextBelow(4);
   options.max_producers = num_producers;
-  options.vectorized_hash_partition = rng.NextBelow(2) == 0;
   ShardedPipeline<int64_t> pipeline(config, options);
 
   const auto stream = UniformIntStream(60000, 1 << 20, MixSeed(seed, 0x5u));

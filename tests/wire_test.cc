@@ -1,21 +1,26 @@
 // Wire subsystem suite: codec primitives, registry-driven snapshot
 // round-trips for every registered kind, corruption/truncation rejection
-// (clean errors, never UB or aborts), and the pipeline
+// (clean errors, never UB or aborts), the pipeline
 // Checkpoint -> kill -> Restore -> continue contract (bit-identical to an
-// uninterrupted run).
+// uninterrupted run), and the failure paths of the atomic file writer.
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "net/collector.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "pipeline/sharded_pipeline.h"
@@ -923,6 +928,111 @@ TEST(WireFlightRecorderTest, CorruptCheckpointLeavesDumpNamingTheFrame) {
 #else
   EXPECT_TRUE(captured.empty());
 #endif
+}
+
+// ------------------------------------------------------- atomic writer ----
+
+// wire::WriteFileAtomic is the one writer behind both checkpoint formats
+// (docs/wire.md "Checkpoint atomicity"). A failed write must report why,
+// leave no tmp file behind and never touch the file already at `path`.
+constexpr char kAtomicTestMagic[4] = {'A', 'T', 'O', 'M'};
+
+std::vector<char> FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+}
+
+bool Exists(const std::string& path) {
+  return access(path.c_str(), F_OK) == 0;
+}
+
+bool WriteAtomic(const std::string& path, const std::vector<uint8_t>& body,
+                 std::string* error) {
+  return wire::WriteFileAtomic(path, kAtomicTestMagic, body,
+                               wire::BodyEncoding::kNone, error);
+}
+
+TEST(WireAtomicWriteTest, WriteOverAnExistingFileReplacesIt) {
+  const std::string path = TempPath("wire_atomic_replace.bin");
+  const std::vector<uint8_t> second = {4, 5, 6, 7};
+  std::string error;
+  ASSERT_TRUE(WriteAtomic(path, {1, 2, 3}, &error)) << error;
+  ASSERT_TRUE(WriteAtomic(path, second, &error)) << error;
+  wire::FileSource file(path);
+  std::vector<uint8_t> body;
+  ASSERT_TRUE(
+      wire::ReadFramedBody(file, kAtomicTestMagic, &body, &error))
+      << error;
+  EXPECT_EQ(body, second);
+  EXPECT_FALSE(Exists(path + ".tmp"));
+  std::remove(path.c_str());
+}
+
+TEST(WireAtomicWriteTest, FailedWritesKeepTheEarlierFileAndLeaveNoTmp) {
+  const std::string path = TempPath("wire_atomic_earlier.bin");
+  std::string error;
+  ASSERT_TRUE(WriteAtomic(path, {1, 2, 3}, &error)) << error;
+  const std::vector<char> earlier = FileBytes(path);
+
+  // Destination in a missing directory: the tmp file cannot be created.
+  const std::string missing = TempPath("wire_atomic_no_such_dir/file.bin");
+  std::string captured;
+  obs::FlightRecorder::Global().SetErrorHook(
+      [&captured](const std::string& dump) { captured = dump; });
+  error.clear();
+  EXPECT_FALSE(WriteAtomic(missing, {9}, &error));
+  obs::FlightRecorder::Global().SetErrorHook(nullptr);
+  EXPECT_NE(error.find("cannot write"), std::string::npos) << error;
+  EXPECT_FALSE(Exists(missing + ".tmp"));
+#if RS_METRICS_ENABLED
+  EXPECT_NE(captured.find("atomic write"), std::string::npos) << captured;
+#else
+  EXPECT_TRUE(captured.empty());
+#endif
+
+  // A stale empty directory squats on `path + ".tmp"`: the write fails
+  // before the rename, and the squatter is cleaned up.
+  ASSERT_EQ(mkdir((path + ".tmp").c_str(), 0700), 0) << path;
+  error.clear();
+  EXPECT_FALSE(WriteAtomic(path, {9}, &error));
+  EXPECT_NE(error.find("cannot write"), std::string::npos) << error;
+  EXPECT_FALSE(Exists(path + ".tmp"));
+  EXPECT_EQ(FileBytes(path), earlier);
+
+  // The destination is a non-empty directory: the rename fails after a
+  // complete tmp write, and the tmp file is removed.
+  const std::string dir = TempPath("wire_atomic_dir_target");
+  ASSERT_TRUE(mkdir(dir.c_str(), 0700) == 0 || errno == EEXIST) << dir;
+  ASSERT_TRUE(WriteAtomic(dir + "/inner.bin", {1}, &error)) << error;
+  error.clear();
+  EXPECT_FALSE(WriteAtomic(dir, {9}, &error));
+  EXPECT_NE(error.find("cannot rename"), std::string::npos) << error;
+  EXPECT_FALSE(Exists(dir + ".tmp"));
+
+  std::remove((dir + "/inner.bin").c_str());
+  std::remove(dir.c_str());
+  std::remove(path.c_str());
+}
+
+TEST(WireAtomicWriteTest, CheckpointsIntoAMissingDirectoryFailWithAReason) {
+  const std::string path = TempPath("wire_atomic_no_such_dir/state.ck");
+  std::string error;
+  {
+    PipelineOptions options;
+    options.num_shards = 2;
+    ShardedPipeline<int64_t> pipeline(SmallConfig("reservoir"), options);
+    pipeline.Ingest(TestStream(500, 0x99));
+    EXPECT_FALSE(pipeline.Checkpoint(path, &error));
+    EXPECT_FALSE(error.empty());
+  }
+  net::CollectorOptions options;
+  options.checkpoint_path = path;
+  net::Collector<int64_t> collector(options);
+  error.clear();
+  EXPECT_FALSE(collector.Checkpoint(&error));
+  EXPECT_FALSE(error.empty());
+  EXPECT_FALSE(Exists(path + ".tmp"));
 }
 
 }  // namespace
