@@ -83,7 +83,7 @@ std::vector<PrefixRange> GroundTruthRanges(
 }
 
 // Probes through the erased query surface: Rank(x) on the merged snapshot
-// is the sample's prefix-density estimate — no TryAs<> downcast.
+// is the sample's prefix-density estimate — no downcast.
 double MaxPrefixDensityError(const StreamSketch<int64_t>& snapshot,
                              const std::vector<PrefixRange>& ranges) {
   double worst = 0.0;
@@ -115,10 +115,11 @@ struct RunResult {
 RunResult TimeIngestion(ShardedPipeline<int64_t>& pipeline,
                         const std::vector<int64_t>& stream,
                         const std::vector<PrefixRange>& ranges) {
+  auto& producer = pipeline.RegisterProducer();
   const auto t0 = std::chrono::steady_clock::now();
   for (size_t i = 0; i < stream.size(); i += kBatchSize) {
     const size_t len = std::min(kBatchSize, stream.size() - i);
-    pipeline.IngestBorrowed(std::span<const int64_t>(stream.data() + i, len));
+    producer.IngestBorrowed(std::span<const int64_t>(stream.data() + i, len));
   }
   pipeline.Flush();
   const auto t1 = std::chrono::steady_clock::now();

@@ -90,9 +90,10 @@ StreamSketch<int64_t> RunPipeline(const SketchConfig& config,
   PipelineOptions options;
   options.num_shards = 2;
   ShardedPipeline<int64_t> pipeline(config, options);
+  auto& producer = pipeline.RegisterProducer();
   for (size_t off = 0; off < slice.size(); off += batch_size) {
     const size_t len = std::min(batch_size, slice.size() - off);
-    pipeline.Ingest(slice.subspan(off, len));
+    producer.Ingest(slice.subspan(off, len));
   }
   return pipeline.Snapshot();
 }

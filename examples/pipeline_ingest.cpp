@@ -46,6 +46,8 @@ int main() {
   options.num_shards = 4;
   options.partition = rs::PartitionPolicy::kRoundRobin;
   rs::ShardedPipeline<int64_t> pipeline(config, options);
+  // One handle per producer thread; this program has one.
+  auto& producer = pipeline.RegisterProducer();
 
   const auto stream = rs::UniformIntStream(
       2'000'000, static_cast<int64_t>(config.universe_size), /*seed=*/11);
@@ -54,8 +56,8 @@ int main() {
     const size_t len = std::min(batch, stream.size() - i);
     // `stream` outlives the next Flush/Snapshot, so the shards can read
     // it in place — zero-copy. (With transient batch memory, call
-    // pipeline.Ingest(...) instead; the snapshots are bit-identical.)
-    pipeline.IngestBorrowed(std::span<const int64_t>(stream.data() + i, len));
+    // producer.Ingest(...) instead; the snapshots are bit-identical.)
+    producer.IngestBorrowed(std::span<const int64_t>(stream.data() + i, len));
   }
 
   // --- 3. Merge the shards and query the global sample ----------------
@@ -83,7 +85,7 @@ int main() {
   hh_config.eps = 0.01;  // 100 counters
   rs::ShardedPipeline<int64_t> hh_pipeline(hh_config, options);
   const auto skewed = rs::ZipfIntStream(500'000, 100'000, 1.3, /*seed=*/13);
-  hh_pipeline.Ingest(skewed);
+  hh_pipeline.RegisterProducer().Ingest(skewed);
   const auto hh_snapshot = hh_pipeline.Snapshot();
   std::cout << "\ntop heavy hitters of a Zipf(1.3) stream ("
             << hh_snapshot.Name() << "):\n";

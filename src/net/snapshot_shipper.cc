@@ -161,7 +161,7 @@ bool SnapshotShipper::ShipOne(const PendingSnapshot& snapshot,
   }
   if (!raw_sink.ok()) return false;
 
-  SocketSource source(fd_);
+  wire::FdSource source(fd_);
   MessageType type;
   std::vector<uint8_t> ack_payload;
   std::string error;

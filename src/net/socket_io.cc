@@ -12,8 +12,6 @@
 
 #include <cstring>
 
-#include "obs/catalog.h"
-
 namespace robust_sampling {
 namespace net {
 
@@ -154,38 +152,6 @@ int AcceptWithTimeout(int listen_fd, int timeout_ms) {
 void SocketSink::Append(const void* data, size_t n) {
   if (!ok_ || n == 0) return;
   ok_ = wire::WriteAllFd(fd_, data, n, /*socket_nosignal=*/true);
-}
-
-bool SocketSource::ReadImpl(void* out, size_t n) {
-  auto* p = static_cast<uint8_t*>(out);
-  while (n > 0) {
-    const ssize_t got = recv(fd_, p, n, 0);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      // EAGAIN/EWOULDBLOCK here means the SO_RCVTIMEO deadline expired
-      // mid-read: the peer is half-open or wedged. Treat it exactly like
-      // truncation — poison the stream.
-      return false;
-    }
-    if (got == 0) return false;  // peer closed mid-object
-    bytes_read_ += static_cast<uint64_t>(got);
-    obs::WireBytesIn().Increment(static_cast<uint64_t>(got));
-    p += got;
-    n -= static_cast<size_t>(got);
-  }
-  return true;
-}
-
-size_t SocketSource::ReadSomeImpl(void* out, size_t n) {
-  if (n == 0) return 0;
-  ssize_t got;
-  do {
-    got = recv(fd_, out, n, 0);
-  } while (got < 0 && errno == EINTR);
-  if (got <= 0) return 0;
-  bytes_read_ += static_cast<uint64_t>(got);
-  obs::WireBytesIn().Increment(static_cast<uint64_t>(got));
-  return static_cast<size_t>(got);
 }
 
 }  // namespace net

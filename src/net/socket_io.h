@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "wire/codec.h"
@@ -14,8 +13,9 @@ namespace net {
 // ---------------------------------------------------------------------------
 // TCP transport primitives for the aggregation tier (docs/distributed.md).
 //
-// SocketSink / SocketSource layer the wire codec's ByteSink / ByteSource
-// contract over a connected stream socket, so everything that already
+// SocketSink layers the wire codec's ByteSink contract over a connected
+// stream socket; the read side is plain wire::FdSource (read(2) on a
+// connected socket is recv without flags). Everything that already
 // serializes through the codec — snapshots, checkpoints, framed bodies —
 // ships over TCP unchanged. Failure semantics match the codec: any
 // unrecoverable socket error (peer reset, deadline expiry, EPIPE) latches
@@ -65,29 +65,6 @@ class SocketSink final : public wire::ByteSink {
  private:
   int fd_;
   bool ok_ = true;
-};
-
-/// ByteSource over a connected socket: EINTR-safe recv loops, deadline
-/// failures poison the source (mid-frame timeout == truncated stream,
-/// exactly like a closed pipe). Length is unknowable, so remaining() is
-/// nullopt and the codec's hard caps bound every attacker-controlled
-/// length prefix. Does not own the fd.
-class SocketSource final : public wire::ByteSource {
- public:
-  explicit SocketSource(int fd) : fd_(fd) {}
-
-  std::optional<uint64_t> remaining() const override { return std::nullopt; }
-
-  /// Total bytes successfully consumed (transfer accounting).
-  uint64_t bytes_read() const { return bytes_read_; }
-
- protected:
-  bool ReadImpl(void* out, size_t n) override;
-  size_t ReadSomeImpl(void* out, size_t n) override;
-
- private:
-  int fd_;
-  uint64_t bytes_read_ = 0;
 };
 
 }  // namespace net

@@ -1,16 +1,12 @@
 #include "obs/admin_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
 
+#include "net/socket_io.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "wire/codec.h"
@@ -24,13 +20,13 @@ namespace {
 // is not a scraper and gets 400.
 constexpr size_t kMaxRequestBytes = 8192;
 
-void SetDeadlines(int fd, int timeout_ms) {
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
+// Read/write deadline per connection, so a stalled client cannot hold the
+// single-threaded serve loop hostage.
+constexpr int kIoTimeoutMs = 2000;
+
+// Accept-poll granularity; bounds how long Stop() waits for the accept
+// thread to notice the stop flag.
+constexpr int kIdlePollMs = 50;
 
 bool WriteResponse(int fd, int status, const char* reason,
                    const std::string& content_type, const std::string& body) {
@@ -78,40 +74,17 @@ void AdminServer::RegisterHandler(const std::string& path,
 
 bool AdminServer::Start(std::string* error) {
   if (started_) return true;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  uint16_t bound = 0;
+  const int fd = net::ListenLoopback(options_.port, &bound);
   if (fd < 0) {
-    if (error != nullptr) *error = "socket: " + std::string(strerror(errno));
-    return false;
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(options_.port);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    if (error != nullptr) *error = "bind: " + std::string(strerror(errno));
-    ::close(fd);
-    return false;
-  }
-  if (::listen(fd, 16) != 0) {
-    if (error != nullptr) *error = "listen: " + std::string(strerror(errno));
-    ::close(fd);
-    return false;
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) !=
-      0) {
     if (error != nullptr) {
-      *error = "getsockname: " + std::string(strerror(errno));
+      *error = "cannot bind loopback port " + std::to_string(options_.port) +
+               ": " + std::strerror(errno);
     }
-    ::close(fd);
     return false;
   }
   listen_fd_ = fd;
-  port_.store(ntohs(bound.sin_port), std::memory_order_release);
+  port_.store(bound, std::memory_order_release);
   stop_.store(false, std::memory_order_release);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   started_ = true;
@@ -132,18 +105,9 @@ void AdminServer::Stop() {
 
 void AdminServer::AcceptLoop() {
   while (!stop_.load(std::memory_order_acquire)) {
-    pollfd pfd{};
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, options_.idle_poll_ms);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    if (ready == 0) continue;  // idle poll tick: re-check the stop flag
-    const int conn = ::accept(listen_fd_, nullptr, nullptr);
-    if (conn < 0) continue;
-    SetDeadlines(conn, options_.io_timeout_ms);
+    const int conn = net::AcceptWithTimeout(listen_fd_, kIdlePollMs);
+    if (conn < 0) continue;  // idle tick or failed accept: re-check stop
+    net::SetSocketDeadlines(conn, kIoTimeoutMs, kIoTimeoutMs);
     ServeConnection(conn);
     ::close(conn);
   }

@@ -40,12 +40,6 @@ struct AdminServerOptions {
   /// TCP port to bind on 127.0.0.1; 0 picks an ephemeral port (read it
   /// back with port() after Start).
   uint16_t port = 0;
-  /// Read/write deadline per connection, so a stalled client cannot hold
-  /// the single-threaded serve loop hostage.
-  int io_timeout_ms = 2000;
-  /// Accept-poll granularity; bounds how long Stop() waits for the accept
-  /// thread to notice the stop flag.
-  int idle_poll_ms = 50;
 };
 
 class AdminServer {

@@ -73,10 +73,8 @@ struct PipelineOptions {
   /// (RegisterProducer()) this pipeline supports. Every producer gets its
   /// own private SPSC ring into every shard (a P x num_shards matrix), so
   /// producers never contend with each other on the hot path; shard
-  /// workers drain their column round-robin. The pipeline-level
-  /// Ingest/IngestBorrowed calls are an alias for producer 0's handle.
-  /// Requires >= 1. Memory cost is one ring per (producer, shard) pair,
-  /// paid at construction.
+  /// workers drain their column round-robin. Requires >= 1. Memory cost
+  /// is one ring per (producer, shard) pair, paid at construction.
   size_t max_producers = 1;
 };
 
@@ -379,9 +377,6 @@ class ShardedPipeline {
   /// order) and returns its handle, valid for the pipeline's lifetime.
   /// Thread-safe and wait-free (the lane matrix is preallocated). Checks
   /// that at most `options.max_producers` handles are ever claimed.
-  /// Producer 0 doubles as the pipeline-level Ingest/IngestBorrowed path —
-  /// claim it *either* via RegisterProducer *or* via the pipeline-level
-  /// calls, not both from different threads.
   Producer& RegisterProducer() {
     const size_t index = registered_.fetch_add(1, std::memory_order_relaxed);
     RS_CHECK_MSG(index < producers_.size(),
@@ -392,17 +387,6 @@ class ShardedPipeline {
   /// Producer handles claimed so far (monotone).
   size_t registered_producers() const {
     return registered_.load(std::memory_order_relaxed);
-  }
-
-  /// Single-producer convenience: producer 0's Ingest. See
-  /// Producer::Ingest for semantics.
-  bool Ingest(std::span<const T> batch) {
-    return producers_.front()->Ingest(batch);
-  }
-
-  /// Single-producer convenience: producer 0's IngestBorrowed.
-  bool IngestBorrowed(std::span<const T> batch) {
-    return producers_.front()->IngestBorrowed(batch);
   }
 
   /// Blocks until every batch published before this call has been folded

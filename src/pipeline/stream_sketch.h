@@ -240,10 +240,6 @@ class SampleQueryHooks {
 /// registered kind — including custom ones — face AttackLab adversaries.
 /// The type-erasure tax is paid per batch and per query, never per element.
 ///
-/// `TryAs<Adapter>()` remains as an interop escape hatch for
-/// adapter-specific state that is not a query (none of the in-tree callers
-/// need it on the query path anymore).
-///
 /// Copying a StreamSketch deep-copies the underlying sketch (used by
 /// ShardedPipeline::Snapshot to fold per-shard states without disturbing
 /// ingestion).
@@ -389,35 +385,6 @@ class StreamSketch {
     return model_->DeserializeFrom(source);
   }
 
-  // --- interop escape hatch ----------------------------------------------
-
-  /// Downcast to a concrete adapter for adapter-specific state beyond the
-  /// query surface; nullptr if this handle wraps a different adapter type.
-  template <SketchAdapter<T> A>
-  A* TryAs() {
-    auto* m = dynamic_cast<Model<A>*>(model_.get());
-    return m ? &m->adapter() : nullptr;
-  }
-  template <SketchAdapter<T> A>
-  const A* TryAs() const {
-    const auto* m = dynamic_cast<const Model<A>*>(model_.get());
-    return m ? &m->adapter() : nullptr;
-  }
-
-  /// Downcast that aborts instead of returning nullptr.
-  template <SketchAdapter<T> A>
-  A& As() {
-    A* a = TryAs<A>();
-    RS_CHECK_MSG(a != nullptr, "StreamSketch wraps a different sketch type");
-    return *a;
-  }
-  template <SketchAdapter<T> A>
-  const A& As() const {
-    const A* a = TryAs<A>();
-    RS_CHECK_MSG(a != nullptr, "StreamSketch wraps a different sketch type");
-    return *a;
-  }
-
  private:
   struct Concept {
     virtual ~Concept() = default;
@@ -523,9 +490,6 @@ class StreamSketch {
     std::unique_ptr<Concept> Clone() const override {
       return std::make_unique<Model>(adapter_);
     }
-    A& adapter() { return adapter_; }
-    const A& adapter() const { return adapter_; }
-
     A adapter_;
   };
 

@@ -146,18 +146,19 @@ TEST(GoldenBlobTest, V1CheckpointsRestoreAndContinueOnTheV2Reader) {
     // Reference: uninterrupted run over the same batch sequence the
     // generator used, then the suffix.
     ShardedPipeline<int64_t> uninterrupted(config, options);
+    auto& producer = uninterrupted.RegisterProducer();
     for (size_t b = 0; b < 4; ++b) {
-      uninterrupted.Ingest(std::vector<int64_t>(
-          stream.begin() + b * 500, stream.begin() + (b + 1) * 500));
+      producer.Ingest(std::vector<int64_t>(stream.begin() + b * 500,
+                                           stream.begin() + (b + 1) * 500));
     }
-    uninterrupted.Ingest(suffix);
+    producer.Ingest(suffix);
 
     std::string error;
     auto restored = ShardedPipeline<int64_t>::Restore(
         GoldenPath("v1_" + kind + ".ck"), options, &error);
     ASSERT_NE(restored, nullptr) << kind << ": " << error;
     EXPECT_EQ(restored->total_ingested(), stream.size()) << kind;
-    restored->Ingest(suffix);
+    restored->RegisterProducer().Ingest(suffix);
 
     ExpectIdenticalAnswers(uninterrupted.Snapshot(), restored->Snapshot(),
                            kind + " v1 golden checkpoint");

@@ -116,7 +116,7 @@ TEST(MultiProducerTest, NoLossNoDuplicateAgainstSerialReference) {
   reference_options.num_shards = 1;
   ShardedPipeline<int64_t> reference(CountMinConfig(1297),
                                      reference_options);
-  reference.Ingest(stream);
+  reference.RegisterProducer().Ingest(stream);
 
   EXPECT_EQ(pipeline.total_ingested(), stream.size());
   EXPECT_EQ(pipeline.registered_producers(), kProducers);
@@ -235,7 +235,8 @@ TEST(MultiProducerTest, CheckpointRestoreUnderConcurrentIngestion) {
               pipeline.Snapshot().EstimateFrequency(x))
         << x;
   }
-  restored->Ingest(std::span<const int64_t>(stream.data(), 1000));
+  restored->RegisterProducer().Ingest(
+      std::span<const int64_t>(stream.data(), 1000));
   EXPECT_EQ(restored->Snapshot().StreamSize(), stream.size() + 1000);
   std::remove(mid_path.c_str());
   std::remove(final_path.c_str());
@@ -304,9 +305,10 @@ void ExpectPartitionMatchesReference(const SketchConfig& config) {
   options.partition = PartitionPolicy::kHash;
   options.ring_capacity = 8;
   ShardedPipeline<int64_t> pipeline(config, options);
+  auto& producer = pipeline.RegisterProducer();
   size_t offset = 0;
   for (size_t len : batches) {
-    pipeline.Ingest(std::span<const int64_t>(stream.data() + offset, len));
+    producer.Ingest(std::span<const int64_t>(stream.data() + offset, len));
     offset += len;
   }
   const std::string path =

@@ -107,7 +107,7 @@ TEST(SocketIoTest, SinkAndSourceRoundTripAcrossLoopback) {
   wire::PutString(sink, "loopback");
   ASSERT_TRUE(sink.ok());
 
-  net::SocketSource source(server);
+  wire::FdSource source(server);
   uint64_t v = 0;
   std::string s;
   EXPECT_TRUE(wire::GetVarint(source, &v));
@@ -135,7 +135,7 @@ TEST(SocketIoTest, ReadDeadlinePoisonsSourceInsteadOfHanging) {
   // deadline, not block forever.
   ASSERT_TRUE(net::SetSocketDeadlines(server, /*recv_timeout_ms=*/100,
                                       /*send_timeout_ms=*/100));
-  net::SocketSource source(server);
+  wire::FdSource source(server);
   uint8_t byte = 0;
   EXPECT_FALSE(source.Read(&byte, 1));
   EXPECT_TRUE(source.failed());
@@ -543,7 +543,7 @@ TEST(CollectorCheckpointTest, CheckpointRestoresIdenticalAnswers) {
     shipper.Offer(SnapshotBytes(sketch, config));
     ASSERT_TRUE(shipper.WaitUntilDrained(5000));
     shipper.Stop();
-    collector.Stop();  // checkpoint_every_snapshots=1 already wrote it
+    collector.Stop();  // the accepted ship already wrote it
   }
 
   // A brand-new collector restores the identical merged state from disk
@@ -688,6 +688,235 @@ TEST(CollectorCheckpointTest, PreFreshnessCheckpointStillRestores) {
   EXPECT_DOUBLE_EQ(*got, sketch.Quantile(0.5));
   collector.Stop();
   std::remove(path.c_str());
+}
+
+// ----------------------------------------------------- revive once ----
+
+uint64_t DeserializeCount(const SketchConfig& config) {
+  return obs::WireDeserializeNs(config.kind).Read().count;
+}
+
+uint64_t MergeCount() { return obs::NetCollectorMergeNs().Read().count; }
+
+std::vector<uint8_t> ReadFileBytes(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  uint8_t buf[4096];
+  size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    bytes.insert(bytes.end(), buf, buf + n);
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+/// Delivers one v2 kShip over a fresh raw connection and returns the acked
+/// status (kMalformed when no ack arrives).
+net::Status RawShip(uint16_t port, uint64_t shipper_id, uint64_t seq,
+                    const std::vector<uint8_t>& frame,
+                    uint64_t total_ingested) {
+  net::Status status = net::Status::kMalformed;
+  const int fd = net::ConnectWithDeadline("127.0.0.1", port, 1000);
+  EXPECT_GE(fd, 0);
+  if (fd < 0) return status;
+  net::SetSocketDeadlines(fd, 5000, 5000);
+  wire::BufferSink payload;
+  wire::PutVarint(payload, shipper_id);
+  wire::PutVarint(payload, seq);
+  wire::PutBytes(payload, frame);
+  wire::PutVarint(payload, net::WallClockNanos());
+  wire::PutVarint(payload, total_ingested);
+  net::SocketSink sink(fd);
+  wire::FdSource source(fd);
+  net::MessageType type;
+  std::vector<uint8_t> ack;
+  std::string error;
+  if (net::WriteMessage(sink, net::MessageType::kShip, payload.bytes()) &&
+      net::ReadMessage(source, &type, &ack, &error) &&
+      type == net::MessageType::kShipAck) {
+    net::ParseStatusPayload(ack, &status);
+  }
+  close(fd);
+  return status;
+}
+
+/// Writes an RNCK checkpoint by hand: one entry per sketch (shipper ids
+/// 1..S), with or without the per-entry freshness stamps.
+void WriteCollectorCheckpoint(
+    const std::string& path,
+    const std::vector<StreamSketch<int64_t>>& sketches,
+    const SketchConfig& config, bool with_freshness) {
+  wire::BufferSink body;
+  wire::PutVarint(body, sketches.size());
+  for (size_t i = 0; i < sketches.size(); ++i) {
+    wire::PutVarint(body, i + 1);  // shipper id
+    wire::PutVarint(body, 7);      // seq
+    wire::PutBytes(body, SnapshotBytes(sketches[i], config));
+    if (with_freshness) {
+      wire::PutVarint(body, 1000 + i);                  // produced_ns
+      wire::PutVarint(body, sketches[i].StreamSize());  // total_ingested
+    }
+  }
+  wire::FileSink file(path);
+  ASSERT_TRUE(wire::WriteFramedBody(
+      file, net::internal::kCollectorCheckpointMagic, body.bytes()));
+  ASSERT_TRUE(file.SyncAndClose());
+}
+
+TEST(ReviveOnceTest, EachShipIsDeserializedExactlyOnce) {
+  constexpr size_t kShippers = 3;
+  constexpr size_t kRounds = 4;
+  net::Collector<int64_t> collector(net::CollectorOptions{});
+  ASSERT_TRUE(collector.Start());
+  const SketchConfig config = CountMinConfig();
+  const uint64_t revives_before = DeserializeCount(config);
+  const uint64_t merges_before = MergeCount();
+
+  std::vector<int64_t> streams[kShippers];
+  for (size_t r = 0; r < kRounds; ++r) {
+    for (size_t s = 0; s < kShippers; ++s) {
+      const std::vector<int64_t> part = TestStream(500, 151 + r * 7 + s);
+      streams[s].insert(streams[s].end(), part.begin(), part.end());
+      ASSERT_EQ(RawShip(collector.port(), 71 + s, r + 1,
+                        SnapshotBytes(MakeSketch(config, streams[s]), config),
+                        streams[s].size()),
+                net::Status::kOk);
+    }
+  }
+  EXPECT_EQ(collector.accepted_snapshots(), uint64_t{kShippers * kRounds});
+
+  // The merged view is the fold of every shipper's latest snapshot.
+  StreamSketch<int64_t> expected = MakeSketch(config, streams[0]);
+  for (size_t s = 1; s < kShippers; ++s) {
+    expected.MergeFrom(MakeSketch(config, streams[s]));
+  }
+  for (int64_t x : {1, 7, 300, 1024}) {
+    const auto got = collector.EstimateFrequency(x);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_DOUBLE_EQ(*got, expected.EstimateFrequency(x)) << x;
+  }
+  collector.Stop();
+#if !RS_METRICS_ENABLED
+  GTEST_SKIP() << "revive/merge counts need the metrics build";
+#endif
+  EXPECT_EQ(DeserializeCount(config) - revives_before,
+            uint64_t{kShippers * kRounds});
+  EXPECT_EQ(MergeCount() - merges_before, uint64_t{kShippers * kRounds});
+}
+
+void ExpectRestoreRevivesEachEntryOnce(bool with_freshness) {
+  constexpr size_t kEntries = 3;
+  const std::string path =
+      TempPath(std::string("net_collector_revive_once_") +
+               (with_freshness ? "v2" : "v1") + ".ck");
+  const SketchConfig config = KllConfig();
+  std::vector<StreamSketch<int64_t>> sketches;
+  for (size_t i = 0; i < kEntries; ++i) {
+    sketches.push_back(MakeSketch(config, TestStream(2000, 161 + i)));
+  }
+  WriteCollectorCheckpoint(path, sketches, config, with_freshness);
+  StreamSketch<int64_t> expected = sketches[0];
+  for (size_t i = 1; i < kEntries; ++i) expected.MergeFrom(sketches[i]);
+
+  const uint64_t revives_before = DeserializeCount(config);
+  const uint64_t merges_before = MergeCount();
+  net::CollectorOptions options;
+  options.checkpoint_path = path;
+  net::Collector<int64_t> collector(options);
+  ASSERT_TRUE(collector.Start());
+  const uint64_t revives = DeserializeCount(config) - revives_before;
+  const uint64_t merges = MergeCount() - merges_before;
+  EXPECT_EQ(collector.known_shippers(), kEntries);
+  for (double q : {0.1, 0.5, 0.9}) {
+    const auto got = collector.Quantile(q);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_DOUBLE_EQ(*got, expected.Quantile(q)) << q;
+  }
+  collector.Stop();
+  std::remove(path.c_str());
+#if RS_METRICS_ENABLED
+  EXPECT_EQ(revives, uint64_t{kEntries});
+  EXPECT_EQ(merges, uint64_t{1});
+#else
+  (void)revives;
+  (void)merges;
+  GTEST_SKIP() << "revive/merge counts need the metrics build";
+#endif
+}
+
+TEST(ReviveOnceTest, RestoreRevivesEachEntryOnce) {
+  ExpectRestoreRevivesEachEntryOnce(/*with_freshness=*/true);
+}
+
+TEST(ReviveOnceTest, PreFreshnessRestoreRevivesEachEntryOnce) {
+  ExpectRestoreRevivesEachEntryOnce(/*with_freshness=*/false);
+}
+
+// Layout detection happens before any revival, so it must not be fooled by
+// a pre-freshness body that also parses under the current layout. With
+// 87-byte frames it does: entry 2's "RS" reads as seq and length, the next
+// 83 bytes as its frame and the frame's last two bytes as stamps. That
+// misread frame lacks the snapshot magic, so the parse falls back.
+TEST(ReviveOnceTest, AmbiguousPreFreshnessCheckpointFallsBack) {
+  const std::string path = TempPath("net_collector_ambiguous_v1.ck");
+  SketchConfig config;
+  config.kind = "space_saving";
+  config.capacity = 4;
+  config.seed = 7;  // empty frame: 87 bytes, two varint-shaped tail bytes
+  const std::vector<StreamSketch<int64_t>> sketches(
+      2, SketchRegistry<int64_t>::Global().Create(config));
+  const std::vector<uint8_t> frame = SnapshotBytes(sketches[0], config);
+  ASSERT_EQ(frame.size(), size_t{87});
+  ASSERT_LT(frame[85], 0x80);
+  ASSERT_LT(frame[86], 0x80);
+  WriteCollectorCheckpoint(path, sketches, config, /*with_freshness=*/false);
+
+  net::CollectorOptions options;
+  options.checkpoint_path = path;
+  net::Collector<int64_t> collector(options);
+  ASSERT_TRUE(collector.Start());
+  EXPECT_EQ(collector.known_shippers(), size_t{2});
+  collector.Stop();
+  std::remove(path.c_str());
+}
+
+TEST(ReviveOnceTest, StaleDuplicateIsAckedWithoutMergeOrCheckpoint) {
+  const std::string path = TempPath("net_collector_stale_dup.ck");
+  std::remove(path.c_str());
+  net::CollectorOptions options;
+  options.checkpoint_path = path;
+  net::Collector<int64_t> collector(options);
+  ASSERT_TRUE(collector.Start());
+  const SketchConfig config = CountMinConfig();
+  const std::vector<int64_t> newer = TestStream(3000, 171);
+  const std::vector<int64_t> older = TestStream(1000, 173);
+  ASSERT_EQ(RawShip(collector.port(), 81, 5,
+                    SnapshotBytes(MakeSketch(config, newer), config),
+                    newer.size()),
+            net::Status::kOk);
+  const std::vector<uint8_t> checkpoint_before = ReadFileBytes(path);
+  ASSERT_FALSE(checkpoint_before.empty());
+  const uint64_t merges_before = MergeCount();
+
+  // seq 3 < 5: a reordered duplicate after a reconnect race.
+  EXPECT_EQ(RawShip(collector.port(), 81, 3,
+                    SnapshotBytes(MakeSketch(config, older), config),
+                    older.size()),
+            net::Status::kOk);
+  const uint64_t merges = MergeCount() - merges_before;
+  EXPECT_EQ(ReadFileBytes(path), checkpoint_before);
+  const auto freq = collector.EstimateFrequency(7);
+  ASSERT_TRUE(freq.has_value());
+  EXPECT_DOUBLE_EQ(*freq, MakeSketch(config, newer).EstimateFrequency(7));
+  collector.Stop();
+  std::remove(path.c_str());
+#if RS_METRICS_ENABLED
+  EXPECT_EQ(merges, uint64_t{0});
+#else
+  (void)merges;
+  GTEST_SKIP() << "merge counts need the metrics build";
+#endif
 }
 
 // ------------------------------------------------ freshness / v2 ships ----
@@ -835,7 +1064,7 @@ TEST(FreshnessTest, V1ShipFrameWithoutFreshnessTailStillAccepted) {
     ASSERT_TRUE(sink.ok());
   }
   {
-    net::SocketSource source(fd);
+    wire::FdSource source(fd);
     net::MessageType type;
     std::vector<uint8_t> ack;
     std::string error;

@@ -158,6 +158,7 @@ void StressOnePolicy(PartitionPolicy policy) {
   options.partition = policy;
   options.ring_capacity = 2;  // tiny ring: constant backpressure edges
   ShardedPipeline<int64_t> pipeline(config, options);
+  auto& producer = pipeline.RegisterProducer();
 
   const auto stream = UniformIntStream(400000, 1 << 20, 2029);
   Rng rng(31337);
@@ -167,7 +168,7 @@ void StressOnePolicy(PartitionPolicy policy) {
     // Random batch sizes, including the 1-element edge.
     const size_t len = std::min<size_t>(1 + rng.NextBelow(701),
                                         stream.size() - offset);
-    pipeline.Ingest(std::span<const int64_t>(stream.data() + offset, len));
+    producer.Ingest(std::span<const int64_t>(stream.data() + offset, len));
     offset += len;
     if (++batches % 64 == 0) {
       // Mid-stream snapshot while the workers are busy: must observe
@@ -212,8 +213,9 @@ TEST(PipelineStressTest, CapabilitiesIsSafeDuringIngestion) {
       ASSERT_EQ(pipeline.Capabilities(), expected);
     }
   });
+  auto& producer = pipeline.RegisterProducer();
   for (size_t i = 0; i < stream.size(); i += 512) {
-    pipeline.Ingest(std::span<const int64_t>(
+    producer.Ingest(std::span<const int64_t>(
         stream.data() + i, std::min<size_t>(512, stream.size() - i)));
   }
   pipeline.Flush();
@@ -240,9 +242,10 @@ TEST(PipelineStressTest, FixedBatchSizesAreBitIdenticalAcrossRuns) {
     options.ring_capacity = 2;
     auto run = [&](bool take_mid_stream_snapshots) {
       ShardedPipeline<int64_t> pipeline(config, options);
+      auto& producer = pipeline.RegisterProducer();
       size_t batches = 0;
       for (size_t i = 0; i < stream.size(); i += 1024) {
-        pipeline.Ingest(std::span<const int64_t>(
+        producer.Ingest(std::span<const int64_t>(
             stream.data() + i, std::min<size_t>(1024, stream.size() - i)));
         if (take_mid_stream_snapshots && ++batches % 32 == 0) {
           pipeline.Snapshot();
@@ -276,6 +279,7 @@ TEST(PipelineStressTest, BorrowedIngestBitIdenticalToCopyingIngest) {
   enum class Feed { kCopy, kBorrow, kMix };
   auto run = [&](Feed feed) {
     ShardedPipeline<int64_t> pipeline(config, options);
+    auto& producer = pipeline.RegisterProducer();
     size_t batches = 0;
     for (size_t i = 0; i < stream.size(); i += 2048) {
       const std::span<const int64_t> batch(
@@ -283,9 +287,9 @@ TEST(PipelineStressTest, BorrowedIngestBitIdenticalToCopyingIngest) {
       const bool borrow =
           feed == Feed::kBorrow || (feed == Feed::kMix && ++batches % 2);
       if (borrow) {
-        pipeline.IngestBorrowed(batch);
+        producer.IngestBorrowed(batch);
       } else {
-        pipeline.Ingest(batch);
+        producer.Ingest(batch);
       }
     }
     const auto snapshot = pipeline.Snapshot();  // flushes: borrow contract
@@ -317,11 +321,14 @@ TEST(PipelineStressTest, MergedCountMinBitIdenticalToSingleShardReference) {
   reference_options.num_shards = 1;
   ShardedPipeline<int64_t> sharded(config, sharded_options);
   ShardedPipeline<int64_t> reference(config, reference_options);
+  auto& sharded_producer = sharded.RegisterProducer();
+  auto& reference_producer = reference.RegisterProducer();
   const auto stream = ZipfIntStream(120000, 5000, 1.2, 61);
   for (size_t i = 0; i < stream.size(); i += 997) {
     const size_t len = std::min<size_t>(997, stream.size() - i);
-    sharded.Ingest(std::span<const int64_t>(stream.data() + i, len));
-    reference.Ingest(std::span<const int64_t>(stream.data() + i, len));
+    sharded_producer.Ingest(std::span<const int64_t>(stream.data() + i, len));
+    reference_producer.Ingest(
+        std::span<const int64_t>(stream.data() + i, len));
   }
   const auto merged = sharded.Snapshot();
   const auto single = reference.Snapshot();
@@ -350,15 +357,16 @@ void ExpectZeroProducerAllocations(PartitionPolicy policy) {
   options.prewarm_batch_elements = kBatch;  // all allocation at setup time
   ShardedPipeline<int64_t> pipeline(config, options);
   const auto stream = UniformIntStream(kBatch, 1 << 20, 71);
+  auto& producer = pipeline.RegisterProducer();
   const size_t pooled_before = pipeline.PooledBuffers();
 
   // Short warm-up (not strictly required with prewarm, but keeps the
   // assertion about steady state rather than first-touch).
-  for (int i = 0; i < 8; ++i) pipeline.Ingest(stream);
+  for (int i = 0; i < 8; ++i) producer.Ingest(stream);
   pipeline.Flush();
 
   const uint64_t allocs_before = t_alloc_count;
-  for (int i = 0; i < 512; ++i) pipeline.Ingest(stream);
+  for (int i = 0; i < 512; ++i) producer.Ingest(stream);
   const uint64_t allocs_after = t_alloc_count;
   pipeline.Flush();
 
@@ -553,6 +561,7 @@ TEST(PipelineStressTest, RejectionAndBackpressureAreDistinctlyCounted) {
   options.ring_capacity = 1;
   options.max_batch_elements = 1 << 16;
   ShardedPipeline<int64_t> pipeline(config, options);
+  auto& producer = pipeline.RegisterProducer();
   const auto stream = UniformIntStream(1 << 16, 1 << 20, 93);
 
 #if RS_METRICS_ENABLED
@@ -563,8 +572,8 @@ TEST(PipelineStressTest, RejectionAndBackpressureAreDistinctlyCounted) {
   // Oversized batches: refused by both ingest paths, nothing queued or
   // sketched, and the return value says so.
   const std::vector<int64_t> oversized(options.max_batch_elements + 1, 7);
-  EXPECT_FALSE(pipeline.Ingest(oversized));
-  EXPECT_FALSE(pipeline.IngestBorrowed(std::span<const int64_t>(oversized)));
+  EXPECT_FALSE(producer.Ingest(oversized));
+  EXPECT_FALSE(producer.IngestBorrowed(std::span<const int64_t>(oversized)));
   EXPECT_EQ(pipeline.rejected_batches(), 2u);
   EXPECT_EQ(pipeline.backpressure_waits(), 0u);
   EXPECT_EQ(pipeline.total_ingested(), 0u);
@@ -572,7 +581,7 @@ TEST(PipelineStressTest, RejectionAndBackpressureAreDistinctlyCounted) {
   // Admitted max-size batches through a single-slot ring: the producer
   // outruns the worker and must block at least once — and loses nothing.
   for (int i = 0; i < 50; ++i) {
-    EXPECT_TRUE(pipeline.Ingest(stream));
+    EXPECT_TRUE(producer.Ingest(stream));
   }
   pipeline.Flush();
   EXPECT_GT(pipeline.backpressure_waits(), 0u);

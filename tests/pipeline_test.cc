@@ -22,12 +22,12 @@
 namespace robust_sampling {
 namespace {
 
-void IngestInBatches(ShardedPipeline<int64_t>& pipeline,
+void IngestInBatches(ShardedPipeline<int64_t>::Producer& producer,
                      const std::vector<int64_t>& stream,
                      size_t batch_size) {
   for (size_t i = 0; i < stream.size(); i += batch_size) {
     const size_t len = std::min(batch_size, stream.size() - i);
-    pipeline.Ingest(std::span<const int64_t>(stream.data() + i, len));
+    producer.Ingest(std::span<const int64_t>(stream.data() + i, len));
   }
 }
 
@@ -40,7 +40,7 @@ TEST(ShardedPipelineTest, RoundRobinBalancesShards) {
   options.partition = PartitionPolicy::kRoundRobin;
   ShardedPipeline<int64_t> pipeline(config, options);
   const auto stream = UniformIntStream(40000, 1 << 20, 71);
-  IngestInBatches(pipeline, stream, 1000);
+  IngestInBatches(pipeline.RegisterProducer(), stream, 1000);
   const auto sizes = pipeline.ShardStreamSizes();
   ASSERT_EQ(sizes.size(), 4u);
   size_t total = 0;
@@ -63,7 +63,7 @@ TEST(ShardedPipelineTest, HashPartitionIsContentAddressed) {
   // repeated value leaves exactly one shard non-empty.
   ShardedPipeline<int64_t> pipeline(config, options);
   const std::vector<int64_t> stream(5000, 42);
-  IngestInBatches(pipeline, stream, 500);
+  IngestInBatches(pipeline.RegisterProducer(), stream, 500);
   const auto sizes = pipeline.ShardStreamSizes();
   size_t non_empty = 0;
   for (size_t s : sizes) non_empty += s > 0;
@@ -84,7 +84,7 @@ TEST(ShardedPipelineTest, SnapshotConservesStreamSizeForEveryKind) {
     options.num_shards = 3;
     options.partition = PartitionPolicy::kHash;
     ShardedPipeline<int64_t> pipeline(config, options);
-    IngestInBatches(pipeline, stream, 997);
+    IngestInBatches(pipeline.RegisterProducer(), stream, 997);
     const auto snapshot = pipeline.Snapshot();
     EXPECT_EQ(snapshot.StreamSize(), stream.size()) << kind;
   }
@@ -97,8 +97,9 @@ TEST(ShardedPipelineTest, SnapshotIsRepeatableAndNonDisruptive) {
   PipelineOptions options;
   options.num_shards = 2;
   ShardedPipeline<int64_t> pipeline(config, options);
+  auto& producer = pipeline.RegisterProducer();
   const auto stream = UniformIntStream(50000, 1 << 20, 79);
-  IngestInBatches(pipeline, stream, 2048);
+  IngestInBatches(producer, stream, 2048);
   const auto snap1 = pipeline.Snapshot();
   const auto snap2 = pipeline.Snapshot();
   // Snapshots without intervening ingestion are identical (samples read
@@ -106,7 +107,7 @@ TEST(ShardedPipelineTest, SnapshotIsRepeatableAndNonDisruptive) {
   EXPECT_TRUE(std::ranges::equal(snap1.SampleView().elements,
                                  snap2.SampleView().elements));
   // ...and do not disturb continued ingestion.
-  IngestInBatches(pipeline, stream, 2048);
+  IngestInBatches(producer, stream, 2048);
   EXPECT_EQ(pipeline.Snapshot().StreamSize(), 100000u);
 }
 
@@ -126,8 +127,8 @@ TEST(ShardedPipelineTest, FixedSeedsGiveIdenticalMergedSnapshots) {
     options.partition = policy;
     ShardedPipeline<int64_t> p1(config, options);
     ShardedPipeline<int64_t> p2(config, options);
-    IngestInBatches(p1, stream, 1 << 12);
-    IngestInBatches(p2, stream, 1 << 12);
+    IngestInBatches(p1.RegisterProducer(), stream, 1 << 12);
+    IngestInBatches(p2.RegisterProducer(), stream, 1 << 12);
     const auto s1 = p1.Snapshot();
     const auto s2 = p2.Snapshot();
     EXPECT_TRUE(std::ranges::equal(s1.SampleView().elements,
@@ -154,7 +155,7 @@ void ExpectPipelineMatchesSingleStream(const std::vector<int64_t>& stream,
   options.num_shards = num_shards;
   options.partition = policy;
   ShardedPipeline<int64_t> pipeline(config, options);
-  IngestInBatches(pipeline, stream, 4096);
+  IngestInBatches(pipeline.RegisterProducer(), stream, 4096);
   const auto snapshot = pipeline.Snapshot();
   auto single = RobustSample<int64_t>::ForQuantiles(eps, delta,
                                                     universe_size, 4242);
@@ -240,7 +241,7 @@ TEST(ShardedPipelineTest, CountMinSnapshotEqualsSingleSketch) {
   options.partition = PartitionPolicy::kHash;
   ShardedPipeline<int64_t> pipeline(config, options);
   const auto stream = ZipfIntStream(50000, 2000, 1.2, 103);
-  IngestInBatches(pipeline, stream, 1 << 12);
+  IngestInBatches(pipeline.RegisterProducer(), stream, 1 << 12);
   const auto snapshot = pipeline.Snapshot();
   CountMinSketch single(512, 3, 101);
   for (int64_t v : stream) single.Insert(v);
@@ -260,7 +261,7 @@ TEST(ShardedPipelineTest, SingleShardDegeneratesGracefully) {
   options.num_shards = 1;
   ShardedPipeline<int64_t> pipeline(config, options);
   const auto stream = UniformIntStream(30000, 1 << 16, 107);
-  IngestInBatches(pipeline, stream, 512);
+  IngestInBatches(pipeline.RegisterProducer(), stream, 512);
   const auto snapshot = pipeline.Snapshot();
   EXPECT_EQ(snapshot.StreamSize(), 30000u);
   EXPECT_EQ(snapshot.SpaceItems(), 128u);
@@ -275,7 +276,7 @@ TEST(ShardedPipelineTest, StopDrainsOutstandingBatchesAndIsIdempotent) {
   options.ring_capacity = 2;  // force backpressure
   ShardedPipeline<int64_t> pipeline(config, options);
   const auto stream = UniformIntStream(100000, 1 << 20, 109);
-  IngestInBatches(pipeline, stream, 256);
+  IngestInBatches(pipeline.RegisterProducer(), stream, 256);
   pipeline.Stop();
   pipeline.Stop();
   EXPECT_EQ(pipeline.Snapshot().StreamSize(), 100000u);

@@ -154,7 +154,7 @@ TEST(QuerySurfaceTest, SampleBackedAnswersAreExactWhenSampleIsWhole) {
 
 // The headline serving contract: a merged N-shard snapshot answers
 // quantile (Rank) queries within eps of single-shard ground truth,
-// entirely through the erased API (ShardedPipeline::Query, no TryAs<>).
+// entirely through the erased API (ShardedPipeline::Query, no downcast).
 TEST(QuerySurfaceTest, MergedSnapshotRankAgreesWithGroundTruthWithinEps) {
   const double eps = 0.1;
   const uint64_t universe = uint64_t{1} << 20;
@@ -169,9 +169,10 @@ TEST(QuerySurfaceTest, MergedSnapshotRankAgreesWithGroundTruthWithinEps) {
   PipelineOptions options;
   options.num_shards = 4;
   ShardedPipeline<int64_t> pipeline(config, options);
+  auto& producer = pipeline.RegisterProducer();
   for (size_t i = 0; i < stream.size(); i += 4096) {
     const size_t len = std::min<size_t>(4096, stream.size() - i);
-    pipeline.Ingest(std::span<const int64_t>(stream.data() + i, len));
+    producer.Ingest(std::span<const int64_t>(stream.data() + i, len));
   }
   ASSERT_TRUE(pipeline.Capabilities() & kCapQuantiles);
   std::vector<int64_t> sorted = stream;
@@ -204,7 +205,7 @@ TEST(QuerySurfaceTest, MergedCountMinFrequenciesEqualSingleSketch) {
   options.partition = PartitionPolicy::kHash;
   ShardedPipeline<int64_t> pipeline(config, options);
   const auto stream = ZipfIntStream(40000, 2000, 1.2, 59);
-  pipeline.Ingest(stream);
+  pipeline.RegisterProducer().Ingest(stream);
   const StreamSketch<int64_t> merged = pipeline.Snapshot();
   StreamSketch<int64_t> single =
       SketchRegistry<int64_t>::Global().Create(config);
@@ -228,7 +229,7 @@ TEST(QuerySurfaceTest, MergedHeavyHittersMatchSingleStreamSummary) {
   options.partition = PartitionPolicy::kHash;
   ShardedPipeline<int64_t> pipeline(config, options);
   const auto stream = ZipfIntStream(60000, 5000, 1.3, 61);
-  pipeline.Ingest(stream);
+  pipeline.RegisterProducer().Ingest(stream);
   const auto merged_hh = pipeline.Query([](const StreamSketch<int64_t>& s) {
     return s.HeavyHitters(0.05);
   });

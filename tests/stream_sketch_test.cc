@@ -74,15 +74,6 @@ TEST(SketchRegistryTest, CustomKindCanBeRegistered) {
   EXPECT_EQ(sketch.SpaceItems(), 32u);
 }
 
-TEST(StreamSketchTest, TryAsDowncastsToTheWrappedAdapter) {
-  SketchConfig config;
-  config.kind = "reservoir";
-  config.capacity = 16;
-  auto sketch = SketchRegistry<int64_t>::Global().Create(config);
-  EXPECT_NE(sketch.TryAs<ReservoirAdapter<int64_t>>(), nullptr);
-  EXPECT_EQ(sketch.TryAs<RobustSampleAdapter<int64_t>>(), nullptr);
-}
-
 TEST(StreamSketchTest, CopyIsDeep) {
   SketchConfig config;
   config.kind = "reservoir";

@@ -739,7 +739,8 @@ TEST(WireCheckpointTest, RestoredPipelineContinuesBitIdentically) {
 
     // Reference: uninterrupted run.
     ShardedPipeline<int64_t> uninterrupted(config, options);
-    for (const auto& batch : batches) uninterrupted.Ingest(batch);
+    auto& uninterrupted_producer = uninterrupted.RegisterProducer();
+    for (const auto& batch : batches) uninterrupted_producer.Ingest(batch);
     auto expected = uninterrupted.Snapshot();
 
     // Interrupted run: first half, checkpoint, "crash" (destroy), restore,
@@ -747,7 +748,10 @@ TEST(WireCheckpointTest, RestoredPipelineContinuesBitIdentically) {
     const std::string path = TempPath("wire_checkpoint_" + kind + ".ck");
     {
       ShardedPipeline<int64_t> first(config, options);
-      for (size_t b = 0; b < kBatches / 2; ++b) first.Ingest(batches[b]);
+      auto& first_producer = first.RegisterProducer();
+      for (size_t b = 0; b < kBatches / 2; ++b) {
+        first_producer.Ingest(batches[b]);
+      }
       std::string error;
       ASSERT_TRUE(first.Checkpoint(path, &error)) << kind << ": " << error;
     }
@@ -756,8 +760,9 @@ TEST(WireCheckpointTest, RestoredPipelineContinuesBitIdentically) {
         ShardedPipeline<int64_t>::Restore(path, options, &error);
     ASSERT_NE(restored, nullptr) << kind << ": " << error;
     EXPECT_EQ(restored->total_ingested(), kBatches / 2 * kBatchSize) << kind;
+    auto& restored_producer = restored->RegisterProducer();
     for (size_t b = kBatches / 2; b < kBatches; ++b) {
-      restored->Ingest(batches[b]);
+      restored_producer.Ingest(batches[b]);
     }
     auto actual = restored->Snapshot();
     ExpectIdenticalAnswers(expected, actual, kind + " checkpoint/restore");
@@ -771,9 +776,10 @@ TEST(WireCheckpointTest, CheckpointIsRepeatableAndRestorableMidStream) {
   options.num_shards = 2;
   const std::string path = TempPath("wire_checkpoint_repeat.ck");
   ShardedPipeline<int64_t> pipeline(config, options);
+  auto& producer = pipeline.RegisterProducer();
   std::string error;
   for (int round = 0; round < 3; ++round) {
-    pipeline.Ingest(TestStream(1000, 0x1000 + round));
+    producer.Ingest(TestStream(1000, 0x1000 + round));
     ASSERT_TRUE(pipeline.Checkpoint(path, &error)) << error;
   }
   auto restored = ShardedPipeline<int64_t>::Restore(path, options, &error);
@@ -798,21 +804,24 @@ TEST(WireCheckpointTest, ZstdCheckpointRestoresBitIdentically) {
     batches.push_back(TestStream(500, 0x25D0 + b));
   }
   ShardedPipeline<int64_t> uninterrupted(config, options);
-  for (const auto& batch : batches) uninterrupted.Ingest(batch);
+  auto& uninterrupted_producer = uninterrupted.RegisterProducer();
+  for (const auto& batch : batches) uninterrupted_producer.Ingest(batch);
 
   const std::string path = TempPath("wire_checkpoint_zstd.ck");
   std::string error;
   {
     ShardedPipeline<int64_t> first(config, options);
-    for (size_t b = 0; b < kBatches / 2; ++b) first.Ingest(batches[b]);
+    auto& first_producer = first.RegisterProducer();
+    for (size_t b = 0; b < kBatches / 2; ++b) first_producer.Ingest(batches[b]);
     ASSERT_TRUE(
         first.Checkpoint(path, &error, wire::BodyEncoding::kZstd))
         << error;
   }
   auto restored = ShardedPipeline<int64_t>::Restore(path, options, &error);
   ASSERT_NE(restored, nullptr) << error;
+  auto& restored_producer = restored->RegisterProducer();
   for (size_t b = kBatches / 2; b < kBatches; ++b) {
-    restored->Ingest(batches[b]);
+    restored_producer.Ingest(batches[b]);
   }
   ExpectIdenticalAnswers(uninterrupted.Snapshot(), restored->Snapshot(),
                          "zstd checkpoint/restore");
@@ -834,7 +843,7 @@ TEST(WireCheckpointTest, RestoreRejectsBadInputs) {
   const std::string path = TempPath("wire_checkpoint_bad.ck");
   {
     ShardedPipeline<int64_t> pipeline(config, options);
-    pipeline.Ingest(TestStream(2000, 0x31));
+    pipeline.RegisterProducer().Ingest(TestStream(2000, 0x31));
     ASSERT_TRUE(pipeline.Checkpoint(path, &error)) << error;
   }
   // Shard-count mismatch.
@@ -909,7 +918,7 @@ TEST(WireFlightRecorderTest, CorruptCheckpointLeavesDumpNamingTheFrame) {
   std::string error;
   {
     ShardedPipeline<int64_t> pipeline(config, options);
-    pipeline.Ingest(TestStream(2000, 0x88));
+    pipeline.RegisterProducer().Ingest(TestStream(2000, 0x88));
     ASSERT_TRUE(pipeline.Checkpoint(path, &error)) << error;
   }
   // Truncate the file so the framed read fails partway.
@@ -1022,7 +1031,7 @@ TEST(WireAtomicWriteTest, CheckpointsIntoAMissingDirectoryFailWithAReason) {
     PipelineOptions options;
     options.num_shards = 2;
     ShardedPipeline<int64_t> pipeline(SmallConfig("reservoir"), options);
-    pipeline.Ingest(TestStream(500, 0x99));
+    pipeline.RegisterProducer().Ingest(TestStream(500, 0x99));
     EXPECT_FALSE(pipeline.Checkpoint(path, &error));
     EXPECT_FALSE(error.empty());
   }
