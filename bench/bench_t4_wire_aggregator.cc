@@ -6,7 +6,7 @@
 //  * op = "aggregate": N forked worker processes each run a
 //    ShardedPipeline over a disjoint slice of one stream, serialize their
 //    merged snapshot (wire/snapshot.h) and ship it to the parent over a
-//    pipe; the parent revives and merges the N snapshots into one summary
+//    socketpair; the parent revives and merges the N snapshots into one summary
 //    of the whole stream. The run *asserts* the distributed answers match
 //    a single-process pipeline over the same stream — within 2*eps for
 //    the robust sampler (each side is an eps-approximation of the
@@ -19,16 +19,22 @@
 //  * op = "wire/serialize" and op = "wire/ship": per-kind codec
 //    throughput for every registered kind. serialize times repeated
 //    in-memory WriteSnapshot calls; ship forks one child that writes R
-//    snapshot copies through BufferedSink over a pipe while the parent
-//    clocks reading + reviving them through one BufferedSource. These are
-//    the rows tools/bench_diff.py --gate t4 enforces floors on.
+//    snapshot copies through a SocketSink while the parent clocks reading
+//    + reviving them through one FdSource. These are the rows
+//    tools/bench_diff.py --gate t4 enforces floors on.
+//
+// The transport is the TCP tier's own (net::SocketSink writing, FdSource
+// reading) over socketpair(AF_UNIX, SOCK_STREAM), so no listener or port
+// is needed.
 //
 // Writes BENCH_t4_wire.json; RS_BENCH_SMOKE=1 shrinks the stream for CI.
 
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -40,6 +46,7 @@
 #include "core/check.h"
 #include "core/random.h"
 #include "harness/table.h"
+#include "net/socket_io.h"
 #include "obs/metrics.h"
 #include "pipeline/sharded_pipeline.h"
 #include "pipeline/sketch_config.h"
@@ -104,9 +111,17 @@ struct AggregateResult {
   double ship_seconds = 0.0;  // parent-side: read + revive + merge
 };
 
+// A connected AF_UNIX stream pair: [0] stays with the parent (reader),
+// [1] goes to the forked child (writer).
+std::array<int, 2> MakeSocketPair() {
+  std::array<int, 2> fds;
+  RS_CHECK(socketpair(AF_UNIX, SOCK_STREAM, 0, fds.data()) == 0);
+  return fds;
+}
+
 // Forks `workers` children; child w pipelines slice w, serializes its
 // snapshot in memory, signals readiness with one byte, then streams the
-// bytes down the pipe. The parent waits for every ready byte before
+// bytes down its socket. The parent waits for every ready byte before
 // starting the ship clock, so pipeline compute never pollutes the wire
 // measurement. CountMin keeps config.seed shared across workers (hash
 // mergeability); the samplers get an independent seed per worker, exactly
@@ -114,17 +129,17 @@ struct AggregateResult {
 AggregateResult ForkAndAggregate(const std::string& kind,
                                  std::span<const int64_t> stream,
                                  size_t workers, size_t batch_size) {
-  std::vector<std::array<int, 2>> pipes(workers);
+  std::vector<std::array<int, 2>> socks(workers);
   std::vector<pid_t> children(workers);
   const size_t slice_len = stream.size() / workers;
   for (size_t w = 0; w < workers; ++w) {
-    RS_CHECK(pipe(pipes[w].data()) == 0);
+    socks[w] = MakeSocketPair();
     const pid_t pid = fork();
     RS_CHECK_MSG(pid >= 0, "fork failed");
     if (pid == 0) {
       // Child: pipeline the slice, ship one snapshot, exit. A non-zero
       // exit status is the child's only error channel; the parent checks.
-      close(pipes[w][0]);
+      close(socks[w][0]);
       const SketchConfig config =
           kind == "count_min"
               ? ConfigFor(kind, kBaseSeed)
@@ -136,40 +151,38 @@ AggregateResult ForkAndAggregate(const std::string& kind,
                                   batch_size);
       wire::BufferSink staged;
       const bool sent = wire::WriteSnapshot(snapshot, config, staged);
-      const uint8_t ready = 1;
-      bool ok = sent && write(pipes[w][1], &ready, 1) == 1;
-      if (ok) {
-        wire::FdSink sink(pipes[w][1]);
+      net::SocketSink sink(socks[w][1]);
+      if (sent) {
+        const uint8_t ready = 1;
+        sink.Append(&ready, 1);
         sink.Append(staged.bytes().data(), staged.bytes().size());
-        ok = sink.ok();
       }
-      close(pipes[w][1]);
-      _exit(ok ? 0 : 1);
+      close(socks[w][1]);
+      _exit(sent && sink.ok() ? 0 : 1);
     }
     children[w] = pid;
-    close(pipes[w][1]);
+    close(socks[w][1]);
   }
 
   // Barrier: every worker has finished pipelining and serializing.
   for (size_t w = 0; w < workers; ++w) {
     uint8_t ready = 0;
-    RS_CHECK_MSG(read(pipes[w][0], &ready, 1) == 1 && ready == 1,
+    RS_CHECK_MSG(read(socks[w][0], &ready, 1) == 1 && ready == 1,
                  "worker failed before signaling ready");
   }
 
   AggregateResult result;
   const auto start = Clock::now();
   for (size_t w = 0; w < workers; ++w) {
-    // Decode off the pipe through the buffered adapter — FdSource still
-    // has no size knowledge (remaining() is nullopt), so this exercises
-    // the codec's hard-cap validation path end to end.
-    wire::FdSource fd_source(pipes[w][0]);
-    wire::BufferedSource source(fd_source);
+    // Decode straight off the socket — FdSource has no size knowledge
+    // (remaining() is nullopt), so this exercises the codec's hard-cap
+    // validation path end to end.
+    wire::FdSource source(socks[w][0]);
     std::string error;
     auto revived = wire::ReadSnapshot<int64_t>(source, &error);
     RS_CHECK_MSG(revived.valid(), error.c_str());
-    result.snapshot_bytes += fd_source.bytes_read();
-    close(pipes[w][0]);
+    result.snapshot_bytes += source.bytes_read();
+    close(socks[w][0]);
     if (!result.merged.valid()) {
       result.merged = std::move(revived);
     } else {
@@ -222,27 +235,22 @@ size_t RepsFor(size_t snapshot_bytes) {
   return std::clamp<size_t>(reps, 4, 64);
 }
 
-// Child writes `reps` copies of the snapshot through BufferedSink over the
-// pipe; the parent clocks reading + reviving all of them through one
-// BufferedSource. Returns parent-side seconds.
+// Child writes `reps` copies of the snapshot through a SocketSink; the
+// parent clocks reading + reviving all of them through one FdSource.
+// Returns parent-side seconds.
 double TimeShip(const StreamSketch<int64_t>& sketch,
                 const SketchConfig& config, size_t reps) {
-  int fds[2];
-  RS_CHECK(pipe(fds) == 0);
+  const std::array<int, 2> fds = MakeSocketPair();
   const pid_t pid = fork();
   RS_CHECK_MSG(pid >= 0, "fork failed");
   if (pid == 0) {
     close(fds[0]);
+    net::SocketSink sink(fds[1]);
     const uint8_t ready = 1;
-    bool ok = write(fds[1], &ready, 1) == 1;
-    {
-      wire::FdSink fd_sink(fds[1]);
-      wire::BufferedSink sink(fd_sink);
-      for (size_t r = 0; ok && r < reps; ++r) {
-        ok = wire::WriteSnapshot(sketch, config, sink);
-      }
-      sink.Flush();
-      ok = ok && fd_sink.ok();
+    sink.Append(&ready, 1);
+    bool ok = true;
+    for (size_t r = 0; ok && r < reps; ++r) {
+      ok = wire::WriteSnapshot(sketch, config, sink);
     }
     close(fds[1]);
     _exit(ok ? 0 : 1);
@@ -252,8 +260,7 @@ double TimeShip(const StreamSketch<int64_t>& sketch,
   RS_CHECK_MSG(read(fds[0], &ready, 1) == 1 && ready == 1,
                "ship worker failed before signaling ready");
   const auto start = Clock::now();
-  wire::FdSource fd_source(fds[0]);
-  wire::BufferedSource source(fd_source);
+  wire::FdSource source(fds[0]);
   for (size_t r = 0; r < reps; ++r) {
     std::string error;
     auto revived = wire::ReadSnapshot<int64_t>(source, &error);
@@ -316,9 +323,9 @@ void Run(bool with_metrics) {
 
   std::cout << "# T4: cross-process snapshot aggregation (src/wire/)\n";
   std::cout << "aggregate rows: N forked workers pipeline disjoint stream "
-               "slices and ship snapshots over pipes; the parent revives "
-               "and merges them after a ready-byte barrier, so ship time "
-               "is wire-only. Asserts merged-vs-single accuracy (2*eps "
+               "slices and ship snapshots over socketpairs; the parent "
+               "revives and merges them after a ready-byte barrier, so ship "
+               "time is wire-only. Asserts merged-vs-single accuracy (2*eps "
                "ranks for the sampler, exact for CountMin).\n"
                "wire/serialize + wire/ship rows: per-kind codec "
                "throughput, gated in CI by bench_diff --gate t4. n = "

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -139,14 +140,9 @@ class Collector {
     if (accept_thread_.joinable()) accept_thread_.join();
     close(listen_fd_);
     listen_fd_ = -1;
-    std::vector<std::thread> conns;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns.swap(conns_);
-    }
-    for (std::thread& t : conns) {
-      if (t.joinable()) t.join();
-    }
+    // The accept thread is gone, so nothing else touches conns_.
+    for (Connection& conn : conns_) conn.thread.join();
+    conns_.clear();
   }
 
   uint16_t port() const { return port_; }
@@ -249,6 +245,7 @@ class Collector {
 
   void AcceptLoop() {
     while (!stop_.load(std::memory_order_acquire)) {
+      JoinFinishedConnections();
       const int fd = AcceptWithTimeout(listen_fd_,
                                        internal::kCollectorIdlePollMs);
       if (fd == -1) continue;  // idle tick; re-check stop
@@ -256,8 +253,25 @@ class Collector {
         if (stop_.load(std::memory_order_acquire)) break;
         continue;
       }
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_.emplace_back(&Collector::ServeConnection, this, fd);
+      Connection& conn = conns_.emplace_back();
+      conn.thread = std::thread([this, fd, &conn] {
+        ServeConnection(fd);
+        conn.done.store(true, std::memory_order_release);
+      });
+    }
+  }
+
+  // Joins and forgets every connection thread that has returned, so a
+  // long-lived collector holds threads (and their stacks) only for the
+  // connections still open, not for every connection it ever accepted.
+  void JoinFinishedConnections() {
+    for (auto it = conns_.begin(); it != conns_.end();) {
+      if (it->done.load(std::memory_order_acquire)) {
+        it->thread.join();
+        it = conns_.erase(it);
+      } else {
+        ++it;
+      }
     }
   }
 
@@ -641,8 +655,16 @@ class Collector {
   std::atomic<bool> stop_{true};
   std::thread accept_thread_;
   std::unique_ptr<obs::AdminServer> admin_;
-  std::mutex conns_mu_;
-  std::vector<std::thread> conns_;
+
+  /// One accepted connection: its serving thread and the flag the thread
+  /// raises as it returns. A list keeps each flag's address stable while
+  /// finished neighbours are erased. Accept-thread only (Stop() touches
+  /// it after joining the accept thread).
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Connection> conns_;
 
   mutable std::mutex state_mu_;
   std::map<uint64_t, SourceState> latest_;  // ordered: stable checkpoints

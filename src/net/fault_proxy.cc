@@ -23,10 +23,6 @@ uint64_t SplitMix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-bool ForwardAll(int fd, const uint8_t* data, size_t n) {
-  return wire::WriteAllFd(fd, data, n, /*socket_nosignal=*/true);
-}
-
 }  // namespace
 
 FaultProxy::FaultProxy(FaultProxyOptions options)
@@ -140,7 +136,7 @@ void FaultProxy::Relay(int client_fd, uint64_t index) {
           const size_t remaining =
               client_bytes < cut ? cut - client_bytes : 0;
           const size_t fwd = std::min(n, remaining);
-          if (fwd > 0 && !ForwardAll(upstream_fd, buf, fwd)) done = true;
+          if (fwd > 0 && !SendAll(upstream_fd, buf, fwd)) done = true;
           client_bytes += fwd;
           if (client_bytes >= cut) done = true;
           break;
@@ -150,7 +146,7 @@ void FaultProxy::Relay(int client_fd, uint64_t index) {
             buf[rand % n] ^= static_cast<uint8_t>(1u << ((rand >> 8) % 8));
             flipped = true;
           }
-          if (!ForwardAll(upstream_fd, buf, n)) done = true;
+          if (!SendAll(upstream_fd, buf, n)) done = true;
           client_bytes += n;
           break;
         }
@@ -159,7 +155,7 @@ void FaultProxy::Relay(int client_fd, uint64_t index) {
               std::chrono::milliseconds(options_.delay_ms));
           [[fallthrough]];
         case FaultMode::kPass:
-          if (!ForwardAll(upstream_fd, buf, n)) done = true;
+          if (!SendAll(upstream_fd, buf, n)) done = true;
           client_bytes += n;
           break;
       }
@@ -175,7 +171,7 @@ void FaultProxy::Relay(int client_fd, uint64_t index) {
       } while (got < 0 && errno == EINTR);
       if (got <= 0) break;
       if (mode == FaultMode::kDrop) continue;  // unreachable; for symmetry
-      if (!ForwardAll(client_fd, buf, static_cast<size_t>(got))) break;
+      if (!SendAll(client_fd, buf, static_cast<size_t>(got))) break;
     }
   }
 

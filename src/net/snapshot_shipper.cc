@@ -16,6 +16,9 @@ namespace net {
 
 namespace {
 
+// Seed of the deterministic backoff jitter stream.
+constexpr uint64_t kJitterSeed = 0x5EED;
+
 uint64_t SplitMix64(uint64_t* state) {
   uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
@@ -26,7 +29,7 @@ uint64_t SplitMix64(uint64_t* state) {
 }  // namespace
 
 SnapshotShipper::SnapshotShipper(ShipperOptions options)
-    : options_(std::move(options)), jitter_state_(options_.jitter_seed) {}
+    : options_(std::move(options)), jitter_state_(kJitterSeed) {}
 
 SnapshotShipper::~SnapshotShipper() { Stop(); }
 
@@ -142,24 +145,19 @@ bool SnapshotShipper::EnsureConnectedLocked(
 bool SnapshotShipper::ShipOne(const PendingSnapshot& snapshot,
                               uint64_t seq) {
   const uint64_t start_ns = obs::NowNanos();
-  SocketSink raw_sink(fd_);
-  {
-    wire::BufferedSink sink(raw_sink);
-    wire::BufferSink payload;
-    wire::PutVarint(payload, options_.shipper_id);
-    wire::PutVarint(payload, seq);
-    wire::PutBytes(payload, snapshot.frame);
-    // Protocol v2 freshness tail (appended fields; a v1 collector never
-    // sees them because it predates this writer, and the v2 collector
-    // defaults them to 0 when absent).
-    wire::PutVarint(payload, snapshot.produced_ns);
-    wire::PutVarint(payload, snapshot.total_ingested);
-    if (!WriteMessage(sink, MessageType::kShip, payload.bytes())) {
-      return false;
-    }
-    sink.Flush();
+  wire::BufferSink payload;
+  wire::PutVarint(payload, options_.shipper_id);
+  wire::PutVarint(payload, seq);
+  wire::PutBytes(payload, snapshot.frame);
+  // Protocol v2 freshness tail (appended fields; a v1 collector never
+  // sees them because it predates this writer, and the v2 collector
+  // defaults them to 0 when absent).
+  wire::PutVarint(payload, snapshot.produced_ns);
+  wire::PutVarint(payload, snapshot.total_ingested);
+  SocketSink sink(fd_);
+  if (!WriteMessage(sink, MessageType::kShip, payload.bytes())) {
+    return false;
   }
-  if (!raw_sink.ok()) return false;
 
   wire::FdSource source(fd_);
   MessageType type;

@@ -47,8 +47,6 @@ struct ShipperOptions {
   int io_timeout_ms = 2000;
   int backoff_initial_ms = 10;
   int backoff_max_ms = 2000;
-  /// Seed of the deterministic jitter stream (tests pin it).
-  uint64_t jitter_seed = 0x5EED;
 };
 
 class SnapshotShipper {

@@ -12,6 +12,8 @@
 
 #include <cstring>
 
+#include "obs/catalog.h"
+
 namespace robust_sampling {
 namespace net {
 
@@ -149,9 +151,24 @@ int AcceptWithTimeout(int listen_fd, int timeout_ms) {
   return fd;
 }
 
+bool SendAll(int fd, const void* data, size_t n) {
+  const auto* p = static_cast<const uint8_t*>(data);
+  while (n > 0) {
+    const ssize_t sent = send(fd, p, n, MSG_NOSIGNAL);
+    if (sent < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    obs::WireBytesOut().Increment(static_cast<uint64_t>(sent));
+    p += sent;
+    n -= static_cast<size_t>(sent);
+  }
+  return true;
+}
+
 void SocketSink::Append(const void* data, size_t n) {
   if (!ok_ || n == 0) return;
-  ok_ = wire::WriteAllFd(fd_, data, n, /*socket_nosignal=*/true);
+  ok_ = SendAll(fd_, data, n);
 }
 
 }  // namespace net

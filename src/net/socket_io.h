@@ -51,10 +51,16 @@ int ListenLoopback(uint16_t port, uint16_t* bound_port, int backlog = 16);
 /// error. EINTR-safe.
 int AcceptWithTimeout(int listen_fd, int timeout_ms);
 
-/// ByteSink over a connected socket: WriteAllFd in its
-/// send(..., MSG_NOSIGNAL) mode, so the hot ship path pays no per-write
-/// sigmask syscalls and a hung-up collector surfaces as ok() == false.
-/// Does not own the fd.
+/// Sends all `n` bytes on a connected socket with send(..., MSG_NOSIGNAL),
+/// retrying short writes and EINTR. Returns false on any unrecoverable
+/// error: a hung-up peer is EPIPE -> false, never a SIGPIPE. Successful
+/// chunks count toward rs_wire_bytes_out_total. Every socket writer
+/// (SocketSink, the admin plane, FaultProxy) goes through this loop.
+bool SendAll(int fd, const void* data, size_t n);
+
+/// ByteSink over a connected socket: one SendAll per Append, so a framed
+/// message costs three send(2) calls and a hung-up peer surfaces as
+/// ok() == false. Does not own the fd.
 class SocketSink final : public wire::ByteSink {
  public:
   explicit SocketSink(int fd) : fd_(fd) {}

@@ -9,7 +9,6 @@
 #include "net/socket_io.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "wire/codec.h"
 
 namespace robust_sampling {
 namespace obs {
@@ -34,12 +33,8 @@ bool WriteResponse(int fd, int status, const char* reason,
                      "\r\nContent-Type: " + content_type +
                      "\r\nContent-Length: " + std::to_string(body.size()) +
                      "\r\nConnection: close\r\n\r\n";
-  if (!wire::WriteAllFd(fd, head.data(), head.size(),
-                        /*socket_nosignal=*/true)) {
-    return false;
-  }
-  return wire::WriteAllFd(fd, body.data(), body.size(),
-                          /*socket_nosignal=*/true);
+  return net::SendAll(fd, head.data(), head.size()) &&
+         net::SendAll(fd, body.data(), body.size());
 }
 
 }  // namespace

@@ -10,8 +10,8 @@
 // One blocking accept thread serves one request per connection (HTTP/1.0,
 // Connection: close) with socket deadlines on both directions, so a stalled
 // scraper cannot wedge the plane for longer than the per-connection
-// timeout. Responses go through wire::WriteAllFd with SIGPIPE masked per
-// write, same as the shipping path.
+// timeout. Responses go through net::SendAll (send with MSG_NOSIGNAL),
+// same as the shipping path.
 //
 // Built-in endpoints (all GET):
 //   /metrics     Prometheus text exposition (MetricRegistry).

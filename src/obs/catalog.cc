@@ -36,9 +36,9 @@ constexpr MetricDescriptor kCatalog[] = {
     {"rs_pipeline_restore_ns", "histogram", "",
      "ShardedPipeline Restore end-to-end duration"},
     {"rs_wire_bytes_out_total", "counter", "",
-     "Bytes written through wire file/fd sinks"},
+     "Bytes written through wire file/socket sinks"},
     {"rs_wire_bytes_in_total", "counter", "",
-     "Bytes read through wire file/fd sources"},
+     "Bytes read through wire file/socket sources"},
     {"rs_wire_frame_failures_total", "counter", "",
      "Framed-body reads rejected (magic/version/length/truncation/checksum)"},
     {"rs_wire_fsync_ns", "histogram", "",
@@ -49,8 +49,6 @@ constexpr MetricDescriptor kCatalog[] = {
      "Snapshot revive latency per sketch kind"},
     {"rs_wire_snapshot_bytes", "histogram", "kind",
      "Serialized snapshot size per sketch kind"},
-    {"rs_wire_buffer_flushes_total", "counter", "",
-     "BufferedSink windows forwarded to the wrapped sink (batched writes)"},
     {"rs_wire_compress_ratio", "histogram", "",
      "Compressed framed-body size as percent of raw (zstd frames only)"},
     {"rs_net_reconnects_total", "counter", "",
@@ -66,7 +64,7 @@ constexpr MetricDescriptor kCatalog[] = {
     {"rs_net_ship_failures_total", "counter", "",
      "Ship attempts that failed (send error, bad/missing ack)"},
     {"rs_net_collector_merge_ns", "histogram", "",
-     "Collector latency to revive a snapshot and rebuild the merged view"},
+     "Merged-view rebuild latency: fold of the held per-shipper sketches"},
     {"rs_net_collector_snapshots_total", "counter", "",
      "Snapshots the collector accepted and merged"},
     {"rs_net_collector_rejects_total", "counter", "",
@@ -225,11 +223,6 @@ Histogram& WireDeserializeNs(const std::string& kind) {
 
 Histogram& WireSnapshotBytes(const std::string& kind) {
   return LabeledHistogram("rs_wire_snapshot_bytes", kind);
-}
-
-Counter& WireBufferFlushes() {
-  static Counter& c = CatalogCounter("rs_wire_buffer_flushes_total");
-  return c;
 }
 
 Histogram& WireCompressRatio() {

@@ -72,9 +72,6 @@ Histogram& WireFsyncNs();
 Histogram& WireSerializeNs(const std::string& kind);
 Histogram& WireDeserializeNs(const std::string& kind);
 Histogram& WireSnapshotBytes(const std::string& kind);
-/// BufferedSink windows forwarded to the wrapped sink — each flush is one
-/// batched Append where unbuffered writes would have made many.
-Counter& WireBufferFlushes();
 /// Compressed framed-body size as a percent of the raw body (zstd frames
 /// only; uncompressed fallbacks are not observed).
 Histogram& WireCompressRatio();

@@ -2,9 +2,6 @@
 
 #include <errno.h>
 #include <fcntl.h>
-#include <pthread.h>
-#include <signal.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -61,94 +58,6 @@ bool FileSink::SyncAndClose() {
   return ok_;
 }
 
-namespace {
-
-// The write-everything loop shared by both WriteAllFd modes. `emit` is
-// write(2) or send(2); returns false on unrecoverable error and reports
-// whether that error was EPIPE (so the sigmask mode can consume the
-// pending signal).
-template <typename EmitFn>
-bool WriteLoop(const uint8_t* p, size_t n, bool* raised_epipe,
-               EmitFn&& emit) {
-  while (n > 0) {
-    const ssize_t written = emit(p, n);
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      *raised_epipe = errno == EPIPE;
-      return false;
-    }
-    obs::WireBytesOut().Increment(static_cast<uint64_t>(written));
-    p += written;
-    n -= static_cast<size_t>(written);
-  }
-  return true;
-}
-
-}  // namespace
-
-bool WriteAllFd(int fd, const void* data, size_t n, bool socket_nosignal) {
-  if (n == 0) return true;
-  const auto* p = static_cast<const uint8_t*>(data);
-  bool raised_epipe = false;
-  if (socket_nosignal) {
-    // Sockets suppress SIGPIPE per call: no sigmask dance on the hot
-    // network path, EPIPE comes back as a plain errno.
-    return WriteLoop(p, n, &raised_epipe, [fd](const uint8_t* q, size_t m) {
-      return send(fd, q, m, MSG_NOSIGNAL);
-    });
-  }
-  // Block SIGPIPE around the write so a hung-up reader surfaces as EPIPE
-  // -> false (the documented clean-failure contract) instead of the
-  // default signal disposition killing the process.
-  sigset_t pipe_mask, old_mask;
-  sigemptyset(&pipe_mask);
-  sigaddset(&pipe_mask, SIGPIPE);
-  pthread_sigmask(SIG_BLOCK, &pipe_mask, &old_mask);
-  const bool ok =
-      WriteLoop(p, n, &raised_epipe, [fd](const uint8_t* q, size_t m) {
-        return write(fd, q, m);
-      });
-  // Consume the SIGPIPE our own write generated (it is pending while
-  // blocked) before restoring the caller's mask — unless the caller had
-  // it blocked already, in which case any pending instance is theirs.
-  if (raised_epipe && sigismember(&old_mask, SIGPIPE) == 0) {
-    const struct timespec zero = {0, 0};
-    sigtimedwait(&pipe_mask, nullptr, &zero);
-  }
-  pthread_sigmask(SIG_SETMASK, &old_mask, nullptr);
-  return ok;
-}
-
-void FdSink::Append(const void* data, size_t n) {
-  if (!ok_ || n == 0) return;
-  ok_ = WriteAllFd(fd_, data, n, /*socket_nosignal=*/false);
-}
-
-BufferedSink::BufferedSink(ByteSink& base, size_t capacity)
-    : base_(base), capacity_(std::max<size_t>(capacity, 1)) {
-  buf_.reserve(capacity_);
-}
-
-BufferedSink::~BufferedSink() { Flush(); }
-
-void BufferedSink::Append(const void* data, size_t n) {
-  if (n >= capacity_) {
-    Flush();
-    base_.Append(data, n);
-    return;
-  }
-  if (buf_.size() + n > capacity_) Flush();
-  const auto* p = static_cast<const uint8_t*>(data);
-  buf_.insert(buf_.end(), p, p + n);
-}
-
-void BufferedSink::Flush() {
-  if (buf_.empty()) return;
-  base_.Append(buf_.data(), buf_.size());
-  buf_.clear();
-  obs::WireBufferFlushes().Increment();
-}
-
 // --------------------------------------------------------------- sources ---
 
 bool BufferSource::ReadImpl(void* out, size_t n) {
@@ -156,13 +65,6 @@ bool BufferSource::ReadImpl(void* out, size_t n) {
   std::memcpy(out, bytes_.data() + pos_, n);
   pos_ += n;
   return true;
-}
-
-size_t BufferSource::ReadSomeImpl(void* out, size_t n) {
-  const size_t take = std::min(n, bytes_.size() - pos_);
-  std::memcpy(out, bytes_.data() + pos_, take);
-  pos_ += take;
-  return take;
 }
 
 FileSource::FileSource(const std::string& path) {
@@ -192,14 +94,6 @@ bool FileSource::ReadImpl(void* out, size_t n) {
   return true;
 }
 
-size_t FileSource::ReadSomeImpl(void* out, size_t n) {
-  if (file_ == nullptr) return 0;
-  const size_t got = std::fread(out, 1, n, file_);
-  pos_ += got;
-  if (got > 0) obs::WireBytesIn().Increment(got);
-  return got;
-}
-
 bool FdSource::ReadImpl(void* out, size_t n) {
   auto* p = static_cast<uint8_t*>(out);
   while (n > 0) {
@@ -217,84 +111,33 @@ bool FdSource::ReadImpl(void* out, size_t n) {
   return true;
 }
 
-size_t FdSource::ReadSomeImpl(void* out, size_t n) {
-  for (;;) {
-    const ssize_t got = read(fd_, out, n);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return 0;
-    }
-    if (got > 0) {
-      obs::WireBytesIn().Increment(static_cast<uint64_t>(got));
-      bytes_read_ += static_cast<uint64_t>(got);
-    }
-    return static_cast<size_t>(got);
-  }
-}
-
-BufferedSource::BufferedSource(ByteSource& base, size_t capacity)
-    : base_(base), buf_(std::max<size_t>(capacity, 1)) {}
-
-std::optional<uint64_t> BufferedSource::remaining() const {
-  const auto rem = base_.remaining();
-  if (!rem) return std::nullopt;
-  return *rem + buffered();
-}
-
-bool BufferedSource::ReadImpl(void* out, size_t n) {
-  auto* p = static_cast<uint8_t*>(out);
-  const size_t from_buf = std::min(n, buffered());
-  std::memcpy(p, buf_.data() + pos_, from_buf);
-  pos_ += from_buf;
-  p += from_buf;
-  n -= from_buf;
-  if (n == 0) return true;
-  if (n >= buf_.size()) {
-    // The window is drained and the rest is at least a full window:
-    // transfer straight into the caller's buffer (no double copy).
-    while (n > 0) {
-      const size_t got = base_.ReadSome(p, n);
-      if (got == 0) return false;
-      p += got;
-      n -= got;
-    }
-    return true;
-  }
-  while (n > 0) {
-    pos_ = 0;
-    fill_ = base_.ReadSome(buf_.data(), buf_.size());
-    if (fill_ == 0) return false;
-    const size_t take = std::min(n, fill_);
-    std::memcpy(p, buf_.data(), take);
-    pos_ = take;
-    p += take;
-    n -= take;
-  }
-  return true;
-}
-
-size_t BufferedSource::ReadSomeImpl(void* out, size_t n) {
-  if (buffered() == 0) {
-    pos_ = 0;
-    fill_ = base_.ReadSome(buf_.data(), buf_.size());
-  }
-  const size_t take = std::min(n, buffered());
-  std::memcpy(out, buf_.data() + pos_, take);
-  pos_ += take;
-  return take;
-}
-
 // ------------------------------------------------------------ primitives ---
 
-void PutVarint(ByteSink& sink, uint64_t v) {
-  uint8_t buf[10];
+namespace {
+
+// Stack encoders shared by the Put* primitives and the frame header, so a
+// whole header can be assembled in one buffer and emitted in one Append.
+constexpr size_t kMaxVarintBytes = 10;
+
+size_t EncodeVarint(uint64_t v, uint8_t* out) {
   size_t n = 0;
   while (v >= 0x80) {
-    buf[n++] = static_cast<uint8_t>(v | 0x80);
+    out[n++] = static_cast<uint8_t>(v | 0x80);
     v >>= 7;
   }
-  buf[n++] = static_cast<uint8_t>(v);
-  sink.Append(buf, n);
+  out[n++] = static_cast<uint8_t>(v);
+  return n;
+}
+
+void EncodeFixed64(uint64_t v, uint8_t out[8]) {
+  for (int i = 0; i < 8; ++i) out[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+}  // namespace
+
+void PutVarint(ByteSink& sink, uint64_t v) {
+  uint8_t buf[kMaxVarintBytes];
+  sink.Append(buf, EncodeVarint(v, buf));
 }
 
 bool GetVarint(ByteSource& source, uint64_t* out) {
@@ -313,25 +156,10 @@ bool GetVarint(ByteSource& source, uint64_t* out) {
   return source.Fail();  // continuation bit set on the 10th byte
 }
 
-void PutFixed32(ByteSink& sink, uint32_t v) {
-  uint8_t buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<uint8_t>(v >> (8 * i));
-  sink.Append(buf, 4);
-}
-
 void PutFixed64(ByteSink& sink, uint64_t v) {
   uint8_t buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<uint8_t>(v >> (8 * i));
+  EncodeFixed64(v, buf);
   sink.Append(buf, 8);
-}
-
-bool GetFixed32(ByteSource& source, uint32_t* out) {
-  uint8_t buf[4];
-  if (!source.Read(buf, 4)) return false;
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(buf[i]) << (8 * i);
-  *out = v;
-  return true;
 }
 
 bool GetFixed64(ByteSource& source, uint64_t* out) {
@@ -381,14 +209,14 @@ void PutString(ByteSink& sink, const std::string& s) {
 namespace {
 
 // Reads `len` bytes in bounded chunks so a corrupt length prefix on a
-// size-blind source (pipe) fails at EOF after at most one chunk of
+// size-blind source (socket) fails at EOF after at most one chunk of
 // over-allocation — never a len-sized allocation up front.
 template <typename Container>
 bool ReadChunked(ByteSource& source, Container* out, uint64_t len) {
-  constexpr size_t kChunk = 1 << 16;
   out->clear();
   while (len > 0) {
-    const size_t take = static_cast<size_t>(std::min<uint64_t>(len, kChunk));
+    const size_t take =
+        static_cast<size_t>(std::min<uint64_t>(len, kReadChunkBytes));
     const size_t old_size = out->size();
     out->resize(old_size + take);
     if (!source.Read(out->data() + old_size, take)) return false;
@@ -620,14 +448,21 @@ bool WriteFramedBody(ByteSink& sink, const char magic[4],
       obs::WireCompressRatio().Observe(stored.size() * 100 / body.size());
     }
   }
-  sink.Append(magic, 4);
-  PutVarint(sink, kWireFormatCurrent);
-  const uint8_t encoding_byte = static_cast<uint8_t>(encoding);
-  sink.Append(&encoding_byte, 1);
-  if (encoding != BodyEncoding::kNone) PutVarint(sink, body.size());
-  PutVarint(sink, stored.size());
+  // magic | version | encoding | [raw length] | stored length
+  uint8_t header[4 + 1 + 3 * kMaxVarintBytes];
+  std::memcpy(header, magic, 4);
+  size_t header_len = 4;
+  header_len += EncodeVarint(kWireFormatCurrent, header + header_len);
+  header[header_len++] = static_cast<uint8_t>(encoding);
+  if (encoding != BodyEncoding::kNone) {
+    header_len += EncodeVarint(body.size(), header + header_len);
+  }
+  header_len += EncodeVarint(stored.size(), header + header_len);
+  uint8_t checksum[8];
+  EncodeFixed64(Checksum(stored), checksum);
+  sink.Append(header, header_len);
   sink.Append(stored.data(), stored.size());
-  PutFixed64(sink, Checksum(stored));
+  sink.Append(checksum, sizeof(checksum));
   return sink.ok();
 }
 

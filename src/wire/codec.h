@@ -31,9 +31,11 @@ namespace wire {
 //    sketch headers in core/, quantiles/ and heavy/ can implement their
 //    SerializeTo/DeserializeFrom hooks against this header alone.
 //  * Byte order is fixed little-endian regardless of host.
-//  * I/O cost is amortized: bulk array primitives emit whole rows per
-//    Append, and the Buffered{Sink,Source} adapters turn fd traffic into
-//    one syscall per ~64 KiB window instead of one per field.
+//  * I/O cost is amortized without buffering adapters: bulk array
+//    primitives emit whole rows per Append, serializers stage bodies in a
+//    BufferSink, and a framed message reaches its sink in exactly three
+//    Appends (header, stored body, checksum) — three send(2) calls on a
+//    socket.
 // ---------------------------------------------------------------------------
 
 // ----------------------------------------------------- format versions ---
@@ -60,14 +62,15 @@ enum class BodyEncoding : uint8_t { kNone = 0, kZstd = 1 };
 /// ReadFramedBody cleanly rejects zstd-encoded frames.
 bool ZstdSupported();
 
-/// Window size of the buffered adapters and of the chunked bulk reads.
-inline constexpr size_t kWireBufferBytes = size_t{64} * 1024;
+/// Chunk size of the bounded bulk reads: a corrupt length prefix on a
+/// size-blind source over-allocates at most one chunk before EOF.
+inline constexpr size_t kReadChunkBytes = size_t{64} * 1024;
 
 // ----------------------------------------------------------------- sinks ---
 
 /// Abstract byte output. Append never aborts; media errors (disk full,
-/// closed pipe) latch `ok() == false` and later Appends become no-ops, so
-/// callers may write a whole message and check once at the end.
+/// reset connection) latch `ok() == false` and later Appends become
+/// no-ops, so callers may write a whole message and check once at the end.
 class ByteSink {
  public:
   virtual ~ByteSink() = default;
@@ -110,63 +113,6 @@ class FileSink final : public ByteSink {
   bool ok_ = true;
 };
 
-/// Writes all `n` bytes to `fd`, retrying short writes and EINTR; returns
-/// false on any unrecoverable error (the caller latches its failure
-/// state). Two SIGPIPE-safety modes: with `socket_nosignal` the bytes go
-/// out via send(fd, ..., MSG_NOSIGNAL) — sockets only, no per-write
-/// sigmask syscalls, the hot network path — otherwise write(2) runs with
-/// SIGPIPE blocked around the loop (works on any fd, costs two sigmask
-/// syscalls plus a possible sigtimedwait per call). Either way a hung-up
-/// reader surfaces as EPIPE -> false instead of killing the process.
-/// Successful chunks count toward rs_wire_bytes_out_total.
-bool WriteAllFd(int fd, const void* data, size_t n,
-                bool socket_nosignal = false);
-
-/// Unbuffered writes to a caller-owned file descriptor (pipe shipping in
-/// the cross-process aggregator). Retries short writes and EINTR; does not
-/// close the fd. SIGPIPE-safe: the signal is blocked around each write
-/// (WriteAllFd), so a hung-up reader latches ok() == false (EPIPE)
-/// instead of killing the process. Each Append costs a write(2) plus two
-/// sigmask syscalls — wrap in a BufferedSink so serializers pay that per
-/// window, not per field.
-class FdSink final : public ByteSink {
- public:
-  explicit FdSink(int fd) : fd_(fd) {}
-
-  void Append(const void* data, size_t n) override;
-  bool ok() const override { return ok_; }
-
- private:
-  int fd_;
-  bool ok_ = true;
-};
-
-/// Batches small Appends into a 64 KiB window and forwards one Append per
-/// full window to the wrapped sink, so a serializer emitting per-field
-/// varints through FdSink costs one syscall round per buffer instead of
-/// per field. Appends at least a window in size bypass the buffer after a
-/// flush (no double copy). Flushes on destruction; callers that need the
-/// bytes on the wire before continuing (pipe shipping) call Flush()
-/// explicitly and then check ok().
-class BufferedSink final : public ByteSink {
- public:
-  explicit BufferedSink(ByteSink& base, size_t capacity = kWireBufferBytes);
-  ~BufferedSink() override;
-  BufferedSink(const BufferedSink&) = delete;
-  BufferedSink& operator=(const BufferedSink&) = delete;
-
-  void Append(const void* data, size_t n) override;
-  bool ok() const override { return base_.ok(); }
-
-  /// Forwards all buffered bytes to the wrapped sink in one Append.
-  void Flush();
-
- private:
-  ByteSink& base_;
-  std::vector<uint8_t> buf_;
-  size_t capacity_;
-};
-
 // --------------------------------------------------------------- sources ---
 
 /// Abstract byte input. `Read` pulls exactly n bytes or returns false and
@@ -181,15 +127,6 @@ class ByteSource {
     if (failed_) return false;
     if (!ReadImpl(out, n)) failed_ = true;
     return !failed_;
-  }
-
-  /// Reads up to n bytes, returning the count delivered (0 at EOF or on a
-  /// failed source). Unlike Read, a short result is not an error and does
-  /// not poison the source — BufferedSource uses it to fill its window
-  /// with whatever the medium has ready (one read(2) on a pipe).
-  size_t ReadSome(void* out, size_t n) {
-    if (failed_ || n == 0) return 0;
-    return ReadSomeImpl(out, n);
   }
 
   /// Marks the source malformed; returns false for `return src.Fail();`.
@@ -209,19 +146,12 @@ class ByteSource {
   void set_wire_version(uint64_t v) { wire_version_ = v; }
 
   /// Bytes left before EOF when the medium knows (buffers, regular files);
-  /// nullopt on pipes/sockets. Used to reject length prefixes that exceed
+  /// nullopt on sockets. Used to reject length prefixes that exceed
   /// the data that could possibly back them.
   virtual std::optional<uint64_t> remaining() const = 0;
 
  protected:
   virtual bool ReadImpl(void* out, size_t n) = 0;
-
-  /// Partial-read primitive backing ReadSome. The default delegates to
-  /// ReadImpl (exact-or-fail); fd-backed sources override it with a single
-  /// short-read syscall, in-memory sources with a clamp to what is left.
-  virtual size_t ReadSomeImpl(void* out, size_t n) {
-    return ReadImpl(out, n) ? n : 0;
-  }
 
  private:
   bool failed_ = false;
@@ -239,7 +169,6 @@ class BufferSource final : public ByteSource {
 
  protected:
   bool ReadImpl(void* out, size_t n) override;
-  size_t ReadSomeImpl(void* out, size_t n) override;
 
  private:
   std::span<const uint8_t> bytes_;
@@ -261,7 +190,6 @@ class FileSource final : public ByteSource {
 
  protected:
   bool ReadImpl(void* out, size_t n) override;
-  size_t ReadSomeImpl(void* out, size_t n) override;
 
  private:
   std::FILE* file_ = nullptr;
@@ -269,10 +197,13 @@ class FileSource final : public ByteSource {
   uint64_t pos_ = 0;
 };
 
-/// Reads from a caller-owned file descriptor (pipe). Length is unknowable,
-/// so `remaining()` is nullopt and decoders fall back to hard caps. Each
-/// exact Read is a read(2) loop — a varint costs one syscall per byte, so
-/// wrap in a BufferedSource for anything beyond a few bytes.
+/// Reads from a caller-owned connected socket (read(2) on a socket is recv
+/// without flags). Length is unknowable, so `remaining()` is nullopt and
+/// decoders fall back to hard caps. Each exact Read is a read(2) loop, so
+/// a varint costs one syscall per byte: stream readers take one framed
+/// message at a time (ReadFramedBody: a few header reads, then the body in
+/// bulk) and parse the body from memory. Reads exactly what is asked, so
+/// consecutive messages on one stream need no shared state.
 class FdSource final : public ByteSource {
  public:
   explicit FdSource(int fd) : fd_(fd) {}
@@ -280,50 +211,21 @@ class FdSource final : public ByteSource {
   std::optional<uint64_t> remaining() const override { return std::nullopt; }
 
   /// Total bytes successfully consumed (transfer accounting — e.g. the
-  /// aggregator bench's snapshot-bytes metric).
+  /// aggregator bench's snapshot-bytes column).
   uint64_t bytes_read() const { return bytes_read_; }
 
  protected:
   bool ReadImpl(void* out, size_t n) override;
-  size_t ReadSomeImpl(void* out, size_t n) override;
 
  private:
   int fd_;
   uint64_t bytes_read_ = 0;
 };
 
-/// Buffered adapter over another source: refills a 64 KiB window with one
-/// ReadSome per refill (one read(2) on fds) and serves decoder reads from
-/// memory, turning the per-varint syscall pattern into bulk transfers.
-/// Reads ahead of what the decoder consumes, so wrap exactly one logical
-/// stream per BufferedSource; consecutive messages on the same stream must
-/// share the adapter (the look-ahead bytes belong to the next message).
-class BufferedSource final : public ByteSource {
- public:
-  explicit BufferedSource(ByteSource& base,
-                          size_t capacity = kWireBufferBytes);
-  BufferedSource(const BufferedSource&) = delete;
-  BufferedSource& operator=(const BufferedSource&) = delete;
-
-  std::optional<uint64_t> remaining() const override;
-
- protected:
-  bool ReadImpl(void* out, size_t n) override;
-  size_t ReadSomeImpl(void* out, size_t n) override;
-
- private:
-  size_t buffered() const { return fill_ - pos_; }
-
-  ByteSource& base_;
-  std::vector<uint8_t> buf_;
-  size_t pos_ = 0;   // next unconsumed byte in buf_
-  size_t fill_ = 0;  // valid bytes in buf_
-};
-
 // --------------------------------------------------------- primitives ---
 
 /// Hard caps applied when a length prefix cannot be validated against
-/// `remaining()` (pipe sources). Generous for every in-tree sketch state,
+/// `remaining()` (socket sources). Generous for every in-tree sketch state,
 /// tight enough that a corrupt prefix cannot drive an OOM.
 inline constexpr uint64_t kMaxStringBytes = uint64_t{1} << 16;
 inline constexpr uint64_t kMaxVectorElements = uint64_t{1} << 26;
@@ -333,9 +235,7 @@ void PutVarint(ByteSink& sink, uint64_t v);
 bool GetVarint(ByteSource& source, uint64_t* out);
 
 /// Little-endian fixed-width integers.
-void PutFixed32(ByteSink& sink, uint32_t v);
 void PutFixed64(ByteSink& sink, uint64_t v);
-bool GetFixed32(ByteSource& source, uint32_t* out);
 bool GetFixed64(ByteSource& source, uint64_t* out);
 
 /// Bulk little-endian fixed64 rows: on little-endian hosts the span is a
@@ -515,7 +415,7 @@ void PutValueArray(ByteSink& sink, std::span<const T> values) {
 template <WireValue T>
 bool GetValueArray(ByteSource& source, std::vector<T>* out, uint64_t count) {
   if constexpr (kFixed64Transparent<T>) {
-    constexpr size_t kChunkElems = kWireBufferBytes / sizeof(T);
+    constexpr size_t kChunkElems = kReadChunkBytes / sizeof(T);
     while (count > 0) {
       const size_t take =
           static_cast<size_t>(std::min<uint64_t>(count, kChunkElems));
@@ -577,7 +477,7 @@ bool GetValueVector(ByteSource& source, std::vector<T>* out,
     return source.Fail();
   }
   out->clear();
-  // Bounded up-front reserve: on a size-blind source (pipe) the count is
+  // Bounded up-front reserve: on a size-blind source (socket) the count is
   // only cap-checked, so trust it incrementally instead of allocating
   // count elements before the first byte arrives (growth stays amortized).
   out->reserve(static_cast<size_t>(std::min<uint64_t>(count, 4096)));
@@ -625,6 +525,9 @@ bool GetCounterSummary(ByteSource& source, uint64_t* k, uint64_t* n,
 /// any body parse, so random corruption anywhere is caught up front.
 inline constexpr uint64_t kMaxBodyBytes = uint64_t{1} << 30;
 
+/// The frame reaches `sink` in exactly three Appends: the header
+/// (assembled on the stack), the stored body and the checksum, so an
+/// unbuffered socket sink pays three send(2) calls per message.
 /// Returns false — writing nothing — if `body` exceeds kMaxBodyBytes: a
 /// frame the reader would reject must never be produced (a "successful"
 /// but unrestorable checkpoint would be worse than a failed one). A kZstd

@@ -7,6 +7,8 @@
 // root), so the test works from any build directory.
 
 #include <fstream>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -87,6 +89,26 @@ TEST(DocsDriftTest, EveryRegisteredMetricIsDocumented) {
         << "metric '" << d.name
         << "' is registered but not documented in docs/observability.md";
   }
+}
+
+// The reverse direction: every metric name documented as an inline code
+// span in docs/observability.md must be in the catalog, so deleting a
+// metric cannot leave a stale doc row behind.
+TEST(DocsDriftTest, EveryDocumentedMetricIsRegistered) {
+  const std::string doc = ReadDoc("docs/observability.md");
+  ASSERT_FALSE(doc.empty());
+  std::set<std::string> catalog;
+  for (const auto& d : obs::AllMetricDescriptors()) catalog.insert(d.name);
+  const std::regex name_span("`(rs_[a-z0-9_]+)`");
+  size_t documented = 0;
+  for (auto it = std::sregex_iterator(doc.begin(), doc.end(), name_span);
+       it != std::sregex_iterator(); ++it, ++documented) {
+    const std::string name = (*it)[1];
+    EXPECT_TRUE(catalog.count(name) == 1)
+        << "metric '" << name
+        << "' is documented in docs/observability.md but not in the catalog";
+  }
+  EXPECT_GE(documented, catalog.size());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // Checkpoint -> kill -> Restore -> continue contract (bit-identical to an
 // uninterrupted run), and the failure paths of the atomic file writer.
 
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -16,11 +17,13 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "net/collector.h"
+#include "net/socket_io.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "pipeline/sharded_pipeline.h"
@@ -162,44 +165,67 @@ TEST(WireCodecTest, CountMapRejectsDuplicatesAndZeroCounts) {
   }
 }
 
-TEST(WireCodecTest, BufferedSinkMatchesUnbufferedBytes) {
-  wire::BufferSink direct;
-  wire::BufferSink base;
-  {
-    // A tiny window forces flushes, window-straddling appends and
-    // bypass-sized appends; bytes out must be identical regardless.
-    wire::BufferedSink buffered(base, /*capacity=*/16);
-    Rng rng(42);
-    for (int i = 0; i < 200; ++i) {
-      std::vector<uint8_t> chunk(rng.NextBelow(40),
-                                 static_cast<uint8_t>(i));
-      direct.Append(chunk.data(), chunk.size());
-      buffered.Append(chunk.data(), chunk.size());
-    }
-  }  // destructor flushes the tail
-  EXPECT_EQ(base.bytes(), direct.bytes());
+// Counts Appends and keeps the bytes, to pin how a frame reaches a sink.
+class CountingSink final : public wire::ByteSink {
+ public:
+  void Append(const void* data, size_t n) override {
+    ++appends_;
+    bytes_.Append(data, n);
+  }
+  bool ok() const override { return true; }
+
+  size_t appends() const { return appends_; }
+  const std::vector<uint8_t>& bytes() const { return bytes_.bytes(); }
+
+ private:
+  size_t appends_ = 0;
+  wire::BufferSink bytes_;
+};
+
+// The v2 frame as the field-by-field writer emitted it (one Append per
+// field): the byte layout every RSNP/RSCK/RNCK/RNET reader depends on.
+std::vector<uint8_t> FieldByFieldFrame(const char magic[4],
+                                       std::span<const uint8_t> body) {
+  wire::BufferSink sink;
+  sink.Append(magic, 4);
+  wire::PutVarint(sink, wire::kWireFormatCurrent);
+  const uint8_t encoding = 0;
+  sink.Append(&encoding, 1);
+  wire::PutVarint(sink, body.size());
+  sink.Append(body.data(), body.size());
+  wire::PutFixed64(sink, wire::Checksum(body));
+  return sink.TakeBytes();
 }
 
-TEST(WireCodecTest, BufferedSourceReadsMatchTheUnderlyingBytes) {
-  std::vector<uint8_t> data(10000);
-  for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<uint8_t>(i * 31);
+// A frame is header, stored body and checksum: exactly three Appends, so
+// an unbuffered socket sink pays three send(2) calls per message. The
+// bytes must not change with the Append pattern.
+TEST(WireCodecTest, FramedBodyIsThreeAppendsWithUnchangedBytes) {
+  // Body sizes straddle every stored-length varint width up to 3 bytes.
+  for (size_t size : {size_t{0}, size_t{1}, size_t{127}, size_t{128},
+                      size_t{16383}, size_t{16384}, size_t{70000}}) {
+    std::vector<uint8_t> body(size);
+    for (size_t i = 0; i < size; ++i) body[i] = static_cast<uint8_t>(i * 7);
+    CountingSink sink;
+    ASSERT_TRUE(wire::WriteFramedBody(sink, "TEST", body)) << size;
+    EXPECT_EQ(sink.appends(), 3u) << size;
+    EXPECT_EQ(sink.bytes(), FieldByFieldFrame("TEST", body)) << size;
+
+    CountingSink zstd_sink;
+    ASSERT_TRUE(wire::WriteFramedBody(zstd_sink, "TEST", body,
+                                      wire::BodyEncoding::kZstd))
+        << size;
+    EXPECT_EQ(zstd_sink.appends(), 3u) << size;
   }
-  wire::BufferSource base(data);
-  wire::BufferedSource source(base, /*capacity=*/64);
-  std::vector<uint8_t> got;
-  Rng rng(7);
-  while (got.size() < data.size()) {
-    // Read sizes straddle the window (including bypass-sized reads).
-    const size_t want = std::min<size_t>(1 + rng.NextBelow(150),
-                                         data.size() - got.size());
-    std::vector<uint8_t> chunk(want);
-    ASSERT_TRUE(source.Read(chunk.data(), want));
-    got.insert(got.end(), chunk.begin(), chunk.end());
-  }
-  EXPECT_EQ(got, data);
-  uint8_t extra = 0;
-  EXPECT_FALSE(source.Read(&extra, 1));  // past EOF fails cleanly
+  // One frame pinned byte for byte: magic | v2 | kNone | len 8 | body |
+  // FNV-1a64(body) little-endian.
+  const std::vector<uint8_t> body = {1, 2, 3, 4, 5, 6, 7, 8};
+  CountingSink sink;
+  ASSERT_TRUE(wire::WriteFramedBody(sink, "TEST", body));
+  const std::vector<uint8_t> expected = {
+      'T',  'E',  'S',  'T',  0x02, 0x00, 0x08, 1,    2,    3,    4,
+      5,    6,    7,    8,    0xED, 0x78, 0x8A, 0x36, 0x8B, 0x10, 0xB5, 0x7E};
+  EXPECT_EQ(sink.bytes(), expected);
 }
 
 TEST(WireCodecTest, FramedBodyDetectsFlippedBitsAnywhere) {
@@ -557,104 +583,97 @@ TEST(WireSnapshotTest, OutOfWireLimitConfigsFailAtWriteTime) {
   EXPECT_NE(error.find("capacity"), std::string::npos) << error;
 }
 
-// --------------------------------------------------- fd (pipe) shipping ----
+// ----------------------------------------------------- socket shipping ----
+
+// A connected AF_UNIX stream pair: the same SocketSink/FdSource transport
+// the TCP tier and bench_t4's forked workers use, without a listener.
+struct SocketPair {
+  SocketPair() { EXPECT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0); }
+  ~SocketPair() {
+    CloseWriter();
+    close(fds[0]);
+  }
+  void CloseWriter() {
+    if (fds[1] >= 0) close(fds[1]);
+    fds[1] = -1;
+  }
+  int reader() const { return fds[0]; }
+  int writer() const { return fds[1]; }
+
+  int fds[2] = {-1, -1};
+};
 
 // FdSource knows nothing about its length (remaining() is nullopt), so
-// decoding straight off a pipe exercises the codec's hard-cap validation
-// branches — the cross-process shipping path of bench_t4.
-TEST(WireFdTest, SnapshotShipsThroughAPipe) {
+// decoding straight off a socket exercises the codec's hard-cap
+// validation branches — the cross-process shipping path of bench_t4.
+TEST(WireSocketTest, SnapshotShipsThroughASocket) {
   SketchConfig config = SmallConfig("robust_sample");
   auto original = SketchRegistry<int64_t>::Global().Create(config);
   original.InsertBatch(TestStream(4000, 0xF1D0));
 
-  int fds[2];
-  ASSERT_EQ(pipe(fds), 0);
+  SocketPair pair;
   {
-    // Snapshot is a few KiB — far below the pipe buffer, so a same-thread
-    // write-then-read cannot block.
-    wire::FdSink sink(fds[1]);
+    // Snapshot is a few KiB — far below the socket buffer, so a
+    // same-thread write-then-read cannot block.
+    net::SocketSink sink(pair.writer());
     ASSERT_TRUE(wire::WriteSnapshot(original, config, sink));
-    close(fds[1]);
+    pair.CloseWriter();
   }
-  wire::FdSource source(fds[0]);
+  wire::FdSource source(pair.reader());
   std::string error;
   auto revived = wire::ReadSnapshot<int64_t>(source, &error);
-  close(fds[0]);
   ASSERT_TRUE(revived.valid()) << error;
   EXPECT_GT(source.bytes_read(), 0u);
-  ExpectIdenticalAnswers(original, revived, "pipe round trip");
+  ExpectIdenticalAnswers(original, revived, "socket round trip");
 }
 
-// A hung-up reader must latch ok() == false via EPIPE — the default
-// SIGPIPE disposition would kill this process, so merely surviving the
-// Append is the regression assertion.
-TEST(WireFdTest, HungUpReaderLatchesErrorInsteadOfSigpipe) {
-  int fds[2];
-  ASSERT_EQ(pipe(fds), 0);
-  close(fds[0]);  // the reader goes away
-  wire::FdSink sink(fds[1]);
-  const uint8_t byte = 0x5A;
-  sink.Append(&byte, 1);
-  EXPECT_FALSE(sink.ok());
-  close(fds[1]);
-}
-
-TEST(WireFdTest, TruncatedPipeStreamFailsCleanly) {
+TEST(WireSocketTest, TruncatedSocketStreamFailsCleanly) {
   SketchConfig config = SmallConfig("reservoir");
   auto original = SketchRegistry<int64_t>::Global().Create(config);
   original.InsertBatch(TestStream(2000, 0xF1D1));
   wire::BufferSink buffered;
   ASSERT_TRUE(wire::WriteSnapshot(original, config, buffered));
 
-  int fds[2];
-  ASSERT_EQ(pipe(fds), 0);
+  SocketPair pair;
   {
-    wire::FdSink sink(fds[1]);
+    net::SocketSink sink(pair.writer());
     // Ship only half the message, then hang up.
     sink.Append(buffered.bytes().data(), buffered.bytes().size() / 2);
-    close(fds[1]);
+    pair.CloseWriter();
   }
-  wire::FdSource source(fds[0]);
+  wire::FdSource source(pair.reader());
   std::string error;
   EXPECT_FALSE(wire::ReadSnapshot<int64_t>(source, &error).valid());
   EXPECT_FALSE(error.empty());
-  close(fds[0]);
 }
 
-// Consecutive snapshots on one pipe must ship through a single
-// BufferedSource: its read-ahead window may hold the head of the next
-// message, so the aggregator's ship protocol keeps one adapter per
-// stream. Three messages through one adapter is the regression check.
-TEST(WireFdTest, ConsecutiveSnapshotsShipThroughOneBufferedSource) {
+// FdSource reads exactly what each frame asks for, so consecutive
+// snapshots on one stream decode through one source with no read-ahead
+// to hand over between messages.
+TEST(WireSocketTest, ConsecutiveSnapshotsShipThroughOneFdSource) {
   SketchConfig config = SmallConfig("robust_sample");
   auto original = SketchRegistry<int64_t>::Global().Create(config);
   original.InsertBatch(TestStream(3000, 0xB1F));
 
-  int fds[2];
-  ASSERT_EQ(pipe(fds), 0);
+  SocketPair pair;
   {
-    // Three small snapshots stay far below the pipe buffer, so a
+    // Three small snapshots stay far below the socket buffer, so a
     // same-thread write-then-read cannot block.
-    wire::FdSink fd_sink(fds[1]);
-    wire::BufferedSink sink(fd_sink);
+    net::SocketSink sink(pair.writer());
     for (int i = 0; i < 3; ++i) {
       ASSERT_TRUE(wire::WriteSnapshot(original, config, sink)) << i;
     }
-    sink.Flush();
-    ASSERT_TRUE(sink.ok());
-    close(fds[1]);
+    pair.CloseWriter();
   }
-  wire::FdSource fd_source(fds[0]);
-  wire::BufferedSource source(fd_source);
+  wire::FdSource source(pair.reader());
   for (int i = 0; i < 3; ++i) {
     std::string error;
     auto revived = wire::ReadSnapshot<int64_t>(source, &error);
     ASSERT_TRUE(revived.valid()) << "message " << i << ": " << error;
-    ExpectIdenticalAnswers(original, revived, "buffered pipe message");
+    ExpectIdenticalAnswers(original, revived, "socket message");
   }
   uint8_t extra = 0;
   EXPECT_FALSE(source.Read(&extra, 1));  // stream fully consumed
-  close(fds[0]);
 }
 
 // ------------------------------------------------- compression (zstd) ----
