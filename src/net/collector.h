@@ -10,13 +10,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -64,11 +62,6 @@ namespace internal {
 
 inline constexpr char kCollectorCheckpointMagic[4] = {'R', 'N', 'C', 'K'};
 
-/// recv/send deadline on established connections.
-inline constexpr int kCollectorIoTimeoutMs = 2000;
-/// Granularity at which idle connection/accept loops re-check Stop().
-inline constexpr int kCollectorIdlePollMs = 50;
-
 }  // namespace internal
 
 struct CollectorOptions {
@@ -88,23 +81,21 @@ template <typename T>
 class Collector {
  public:
   explicit Collector(CollectorOptions options)
-      : options_(std::move(options)) {}
+      : options_(std::move(options)),
+        server_([this](int fd, uint64_t) { ServeConnection(fd); }) {}
 
   ~Collector() { Stop(); }
   Collector(const Collector&) = delete;
   Collector& operator=(const Collector&) = delete;
 
-  /// Binds, restores any existing checkpoint, and starts accepting.
+  /// Restores any existing checkpoint, binds, and starts accepting.
   /// False (with a reason) only on bind failure; a corrupt checkpoint is
   /// recorded and counted but the service starts with empty state —
   /// fail closed, stay up.
   bool Start(std::string* error = nullptr) {
-    if (listen_fd_ >= 0) return true;
-    listen_fd_ = ListenLoopback(options_.port, &port_);
-    if (listen_fd_ < 0) {
-      if (error != nullptr) *error = "collector: cannot bind loopback port";
-      return false;
-    }
+    if (server_.port() != 0) return true;
+    // Restore before the first accept, so no ship can land in state the
+    // restore then overwrites.
     if (!options_.checkpoint_path.empty()) {
       std::string restore_error;
       if (!RestoreFromCheckpoint(&restore_error) && !restore_error.empty()) {
@@ -112,6 +103,7 @@ class Collector {
             "net", "collector restore rejected: " + restore_error);
       }
     }
+    if (!server_.Start(options_.port, error)) return false;
     if (options_.admin_port >= 0) {
       obs::AdminServerOptions admin_options;
       admin_options.port = static_cast<uint16_t>(options_.admin_port);
@@ -125,27 +117,15 @@ class Collector {
         admin_.reset();
       }
     }
-    stop_.store(false, std::memory_order_release);
-    accept_thread_ = std::thread(&Collector::AcceptLoop, this);
     return true;
   }
 
   void Stop() {
-    if (listen_fd_ < 0) return;
-    if (admin_ != nullptr) {
-      admin_->Stop();
-      admin_.reset();
-    }
-    stop_.store(true, std::memory_order_release);
-    if (accept_thread_.joinable()) accept_thread_.join();
-    close(listen_fd_);
-    listen_fd_ = -1;
-    // The accept thread is gone, so nothing else touches conns_.
-    for (Connection& conn : conns_) conn.thread.join();
-    conns_.clear();
+    admin_.reset();
+    server_.Stop();
   }
 
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return server_.port(); }
 
   /// The admin plane's bound port; 0 when disabled or failed to bind.
   uint16_t admin_port() const {
@@ -243,47 +223,16 @@ class Collector {
     return Status::kOk;
   }
 
-  void AcceptLoop() {
-    while (!stop_.load(std::memory_order_acquire)) {
-      JoinFinishedConnections();
-      const int fd = AcceptWithTimeout(listen_fd_,
-                                       internal::kCollectorIdlePollMs);
-      if (fd == -1) continue;  // idle tick; re-check stop
-      if (fd < 0) {
-        if (stop_.load(std::memory_order_acquire)) break;
-        continue;
-      }
-      Connection& conn = conns_.emplace_back();
-      conn.thread = std::thread([this, fd, &conn] {
-        ServeConnection(fd);
-        conn.done.store(true, std::memory_order_release);
-      });
-    }
-  }
-
-  // Joins and forgets every connection thread that has returned, so a
-  // long-lived collector holds threads (and their stacks) only for the
-  // connections still open, not for every connection it ever accepted.
-  void JoinFinishedConnections() {
-    for (auto it = conns_.begin(); it != conns_.end();) {
-      if (it->done.load(std::memory_order_acquire)) {
-        it->thread.join();
-        it = conns_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-
+  /// One shipper or query-client connection, served on its own
+  /// LoopbackServer thread until the peer leaves, a message fails, or
+  /// Stop(); the server closes the fd.
   void ServeConnection(int fd) {
-    SetSocketDeadlines(fd, internal::kCollectorIoTimeoutMs,
-                       internal::kCollectorIoTimeoutMs);
-    while (!stop_.load(std::memory_order_acquire)) {
+    while (!server_.stopping()) {
       // Wait for the next frame with poll + MSG_PEEK so a clean
       // disconnect closes quietly instead of burning a frame-failure
       // event on the EOF.
       pollfd pfd = {fd, POLLIN, 0};
-      const int rc = poll(&pfd, 1, internal::kCollectorIdlePollMs);
+      const int rc = poll(&pfd, 1, kIdlePollMs);
       if (rc < 0) {
         if (errno == EINTR) continue;
         break;
@@ -319,7 +268,6 @@ class Collector {
       }
       if (!keep) break;
     }
-    close(fd);
   }
 
   bool HandleShip(const std::vector<uint8_t>& payload, int fd) {
@@ -650,22 +598,6 @@ class Collector {
 
   const CollectorOptions options_;
 
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::atomic<bool> stop_{true};
-  std::thread accept_thread_;
-  std::unique_ptr<obs::AdminServer> admin_;
-
-  /// One accepted connection: its serving thread and the flag the thread
-  /// raises as it returns. A list keeps each flag's address stable while
-  /// finished neighbours are erased. Accept-thread only (Stop() touches
-  /// it after joining the accept thread).
-  struct Connection {
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-  std::list<Connection> conns_;
-
   mutable std::mutex state_mu_;
   std::map<uint64_t, SourceState> latest_;  // ordered: stable checkpoints
   StreamSketch<T> merged_;
@@ -673,6 +605,10 @@ class Collector {
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> rejects_{0};
   std::atomic<uint64_t> queries_{0};
+
+  // Declared after the state their connection threads use.
+  std::unique_ptr<obs::AdminServer> admin_;
+  LoopbackServer server_;
 };
 
 // ---------------------------------------------------------------------------

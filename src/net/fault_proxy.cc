@@ -7,71 +7,25 @@
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
 #include <utility>
 
-#include "net/socket_io.h"
+#include "core/random.h"
 
 namespace robust_sampling {
 namespace net {
 
-namespace {
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 FaultProxy::FaultProxy(FaultProxyOptions options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)),
+      server_([this](int fd, uint64_t index) { Relay(fd, index); }) {}
 
 FaultProxy::~FaultProxy() { Stop(); }
 
 bool FaultProxy::Start(std::string* error) {
-  if (listen_fd_ >= 0) return true;
-  listen_fd_ = ListenLoopback(options_.listen_port, &port_);
-  if (listen_fd_ < 0) {
-    if (error != nullptr) *error = "fault proxy: cannot bind loopback port";
-    return false;
-  }
-  stop_.store(false, std::memory_order_release);
-  accept_thread_ = std::thread(&FaultProxy::AcceptLoop, this);
-  return true;
+  return server_.Start(options_.listen_port, error);
 }
 
-void FaultProxy::Stop() {
-  if (listen_fd_ < 0) return;
-  stop_.store(true, std::memory_order_release);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  close(listen_fd_);
-  listen_fd_ = -1;
-  std::vector<std::thread> conns;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns.swap(conns_);
-  }
-  for (std::thread& t : conns) {
-    if (t.joinable()) t.join();
-  }
-}
-
-void FaultProxy::AcceptLoop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    const int fd = AcceptWithTimeout(listen_fd_, options_.idle_poll_ms);
-    if (fd == -1) continue;
-    if (fd < 0) {
-      if (stop_.load(std::memory_order_acquire)) break;
-      continue;
-    }
-    const uint64_t index =
-        connections_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.emplace_back(&FaultProxy::Relay, this, fd, index);
-  }
-}
+void FaultProxy::Stop() { server_.Stop(); }
 
 void FaultProxy::Relay(int client_fd, uint64_t index) {
   const FaultMode mode =
@@ -81,7 +35,7 @@ void FaultProxy::Relay(int client_fd, uint64_t index) {
   if (mode != FaultMode::kPass) {
     faults_.fetch_add(1, std::memory_order_relaxed);
   }
-  const uint64_t rand = SplitMix64(options_.seed + index);
+  const uint64_t rand = SplitMix64(options_.seed + index).Next();
 
   const int upstream_fd =
       mode == FaultMode::kDrop
@@ -89,10 +43,7 @@ void FaultProxy::Relay(int client_fd, uint64_t index) {
           : ConnectWithDeadline(options_.upstream_host,
                                 options_.upstream_port,
                                 options_.connect_timeout_ms);
-  if (mode != FaultMode::kDrop && upstream_fd < 0) {
-    close(client_fd);
-    return;
-  }
+  if (mode != FaultMode::kDrop && upstream_fd < 0) return;
 
   // kTruncate: forward exactly this many client bytes, then cut. Seeded
   // into [cut/2, cut) so the cut lands at a different mid-frame offset
@@ -106,12 +57,12 @@ void FaultProxy::Relay(int client_fd, uint64_t index) {
   uint8_t buf[4096];
   bool done = false;
 
-  while (!done && !stop_.load(std::memory_order_acquire)) {
+  while (!done && !server_.stopping()) {
     pollfd pfds[2];
     pfds[0] = {client_fd, POLLIN, 0};
     pfds[1] = {upstream_fd, POLLIN, 0};
     const nfds_t nfds = upstream_fd >= 0 ? 2 : 1;
-    const int rc = poll(pfds, nfds, options_.idle_poll_ms);
+    const int rc = poll(pfds, nfds, kIdlePollMs);
     if (rc < 0) {
       if (errno == EINTR) continue;
       break;
@@ -175,7 +126,6 @@ void FaultProxy::Relay(int client_fd, uint64_t index) {
     }
   }
 
-  close(client_fd);
   if (upstream_fd >= 0) close(upstream_fd);
 }
 

@@ -3,10 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
+
+#include "net/socket_io.h"
 
 namespace robust_sampling {
 namespace net {
@@ -20,7 +20,13 @@ namespace net {
 //
 // Determinism: connection i (accept order) gets `schedule[i % size]`, and
 // the byte/bit positions the faulty modes corrupt derive from
-// splitmix64(seed, i) — same seed, same schedule, same faults.
+// SplitMix64(seed + i).Next() — same seed, same schedule, same faults.
+//
+// Connections come from net::LoopbackServer, the accept loop Collector<T>
+// and obs::AdminServer share: each relay runs on its own thread, finished
+// relays are joined before the next accept, and Stop() joins the rest.
+// A long fault-matrix run therefore holds one thread per open connection,
+// not one per connection it ever relayed.
 // ---------------------------------------------------------------------------
 
 enum class FaultMode : uint8_t {
@@ -55,7 +61,6 @@ struct FaultProxyOptions {
   /// than a frame so the cut is mid-frame.
   int truncate_cut_bytes = 64;
   int connect_timeout_ms = 1000;
-  int idle_poll_ms = 20;
 };
 
 class FaultProxy {
@@ -68,27 +73,17 @@ class FaultProxy {
   bool Start(std::string* error = nullptr);
   void Stop();
 
-  uint16_t port() const { return port_; }
-  uint64_t connections() const {
-    return connections_.load(std::memory_order_relaxed);
-  }
+  uint16_t port() const { return server_.port(); }
   uint64_t faults_injected() const {
     return faults_.load(std::memory_order_relaxed);
   }
 
  private:
-  void AcceptLoop();
   void Relay(int client_fd, uint64_t index);
 
   const FaultProxyOptions options_;
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::atomic<bool> stop_{true};
-  std::thread accept_thread_;
-  std::mutex conns_mu_;
-  std::vector<std::thread> conns_;
-  std::atomic<uint64_t> connections_{0};
   std::atomic<uint64_t> faults_{0};
+  LoopbackServer server_;
 };
 
 }  // namespace net

@@ -16,20 +16,21 @@ namespace net {
 
 namespace {
 
-// Seed of the deterministic backoff jitter stream.
+// Seed of the deterministic backoff jitter streams.
 constexpr uint64_t kJitterSeed = 0x5EED;
-
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
 
 }  // namespace
 
+BackoffJitter::BackoffJitter(uint64_t shipper_id)
+    : rng_(kJitterSeed ^ shipper_id) {}
+
+int BackoffJitter::NextMs(int backoff_ms) {
+  const uint64_t span = static_cast<uint64_t>(backoff_ms / 2 + 1);
+  return backoff_ms / 2 + static_cast<int>(rng_.Next() % span);
+}
+
 SnapshotShipper::SnapshotShipper(ShipperOptions options)
-    : options_(std::move(options)), jitter_state_(kJitterSeed) {}
+    : options_(std::move(options)), jitter_(options_.shipper_id) {}
 
 SnapshotShipper::~SnapshotShipper() { Stop(); }
 
@@ -113,10 +114,7 @@ bool SnapshotShipper::EnsureConnectedLocked(
       // fraction in [backoff/2, backoff] so a fleet restarting together
       // does not reconnect in lockstep. The wait is interruptible — a
       // Stop() cuts it short.
-      const int jitter_ms = static_cast<int>(
-          backoff_ms_ / 2 +
-          SplitMix64(&jitter_state_) %
-              static_cast<uint64_t>(backoff_ms_ / 2 + 1));
+      const int jitter_ms = jitter_.NextMs(backoff_ms_);
       obs::NetBackoffWaitNs().Observe(static_cast<uint64_t>(jitter_ms) *
                                       1000000ULL);
       cv_.wait_for(lock, std::chrono::milliseconds(jitter_ms),

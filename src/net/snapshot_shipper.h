@@ -9,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/random.h"
+
 namespace robust_sampling {
 namespace net {
 
@@ -47,6 +49,21 @@ struct ShipperOptions {
   int io_timeout_ms = 2000;
   int backoff_initial_ms = 10;
   int backoff_max_ms = 2000;
+};
+
+/// A shipper's reconnect jitter stream. Seeded from a fixed constant mixed
+/// with the shipper id, so runs are reproducible per shipper while a fleet
+/// that loses its collector together spreads its reconnects instead of
+/// retrying in lockstep.
+class BackoffJitter {
+ public:
+  explicit BackoffJitter(uint64_t shipper_id);
+
+  /// Draws one wait, uniform in [backoff_ms/2, backoff_ms].
+  int NextMs(int backoff_ms);
+
+ private:
+  SplitMix64 rng_;
 };
 
 class SnapshotShipper {
@@ -111,7 +128,7 @@ class SnapshotShipper {
 
   int fd_ = -1;              // worker-thread only
   int backoff_ms_ = 0;       // worker-thread only; 0 = connect immediately
-  uint64_t jitter_state_;    // worker-thread only (splitmix64)
+  BackoffJitter jitter_;     // worker-thread only
 
   uint64_t shipped_ = 0;
   uint64_t superseded_ = 0;

@@ -151,6 +151,61 @@ int AcceptWithTimeout(int listen_fd, int timeout_ms) {
   return fd;
 }
 
+bool LoopbackServer::Start(uint16_t port, std::string* error) {
+  if (listen_fd_ >= 0) return true;
+  uint16_t bound = 0;
+  listen_fd_ = ListenLoopback(port, &bound);
+  if (listen_fd_ < 0) {
+    if (error != nullptr) {
+      *error = "cannot bind loopback port " + std::to_string(port) + ": " +
+               std::strerror(errno);
+    }
+    return false;
+  }
+  port_.store(bound, std::memory_order_release);
+  stop_.store(false, std::memory_order_release);
+  accept_thread_ = std::thread(&LoopbackServer::AcceptLoop, this);
+  return true;
+}
+
+void LoopbackServer::Stop() {
+  if (listen_fd_ < 0) return;
+  stop_.store(true, std::memory_order_release);
+  accept_thread_.join();
+  close(listen_fd_);
+  listen_fd_ = -1;
+  port_.store(0, std::memory_order_release);
+  for (Connection& conn : conns_) conn.thread.join();
+  conns_.clear();
+}
+
+void LoopbackServer::AcceptLoop() {
+  while (!stopping()) {
+    JoinFinishedConnections();
+    const int fd = AcceptWithTimeout(listen_fd_, kIdlePollMs);
+    if (fd < 0) continue;  // idle tick or failed accept: re-check stop
+    SetSocketDeadlines(fd, kIoTimeoutMs, kIoTimeoutMs);
+    const uint64_t index = accepted_++;
+    Connection& conn = conns_.emplace_back();
+    conn.thread = std::thread([this, fd, index, &conn] {
+      serve_(fd, index);
+      close(fd);
+      conn.done.store(true, std::memory_order_release);
+    });
+  }
+}
+
+void LoopbackServer::JoinFinishedConnections() {
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    if (it->done.load(std::memory_order_acquire)) {
+      it->thread.join();
+      it = conns_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
 bool SendAll(int fd, const void* data, size_t n) {
   const auto* p = static_cast<const uint8_t*>(data);
   while (n > 0) {

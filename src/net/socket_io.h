@@ -1,9 +1,14 @@
 #ifndef ROBUST_SAMPLING_NET_SOCKET_IO_H_
 #define ROBUST_SAMPLING_NET_SOCKET_IO_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <list>
 #include <string>
+#include <thread>
+#include <utility>
 
 #include "wire/codec.h"
 
@@ -28,6 +33,12 @@ namespace net {
 // without a FIN costs one deadline, not a hang.
 // ---------------------------------------------------------------------------
 
+/// recv/send deadline on every connection a LoopbackServer accepts.
+inline constexpr int kIoTimeoutMs = 2000;
+/// Granularity at which idle accept and connection loops re-check for a
+/// stop request.
+inline constexpr int kIdlePollMs = 50;
+
 /// Applies per-operation deadlines to a connected socket. 0 disables the
 /// corresponding timeout (block indefinitely). Returns false if either
 /// setsockopt failed.
@@ -50,6 +61,59 @@ int ListenLoopback(uint16_t port, uint16_t* bound_port, int backlog = 16);
 /// forever). Returns the connected fd, -1 on timeout, -2 on listener
 /// error. EINTR-safe.
 int AcceptWithTimeout(int listen_fd, int timeout_ms);
+
+/// The one accept loop of every loopback TCP service (Collector<T>,
+/// obs::AdminServer, FaultProxy). It owns the listener and one accept
+/// thread; each accepted connection gets kIoTimeoutMs deadlines and its
+/// own thread, which runs `serve(fd, index)` (index = accept order,
+/// counting from 0 over the server's lifetime) and then closes the fd.
+/// Before each accept the loop joins the threads that have finished, so
+/// threads and stacks are held only for connections still open. `serve`
+/// runs concurrently with itself and with the owner's threads; a
+/// long-lived `serve` polls stopping() at kIdlePollMs so Stop() stays
+/// prompt.
+class LoopbackServer {
+ public:
+  using Serve = std::function<void(int fd, uint64_t index)>;
+
+  explicit LoopbackServer(Serve serve) : serve_(std::move(serve)) {}
+  ~LoopbackServer() { Stop(); }
+  LoopbackServer(const LoopbackServer&) = delete;
+  LoopbackServer& operator=(const LoopbackServer&) = delete;
+
+  /// Binds 127.0.0.1:`port` (0 = ephemeral) and starts accepting. True
+  /// when already running; false with a reason on bind failure.
+  bool Start(uint16_t port, std::string* error = nullptr);
+
+  /// Stops accepting, closes the listener, and joins every connection
+  /// thread. Idempotent.
+  void Stop();
+
+  /// The bound port; 0 when not running.
+  uint16_t port() const { return port_.load(std::memory_order_acquire); }
+  /// True once Stop() has begun (and before the first Start).
+  bool stopping() const { return stop_.load(std::memory_order_acquire); }
+
+ private:
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
+  void AcceptLoop();
+  void JoinFinishedConnections();
+
+  const Serve serve_;
+  int listen_fd_ = -1;
+  std::atomic<uint16_t> port_{0};
+  std::atomic<bool> stop_{true};
+  // Accept-thread only (Stop() clears conns_ after joining that thread). A
+  // list keeps each `done` flag's address stable while finished
+  // neighbours are erased.
+  std::list<Connection> conns_;
+  uint64_t accepted_ = 0;
+  std::thread accept_thread_;
+};
 
 /// Sends all `n` bytes on a connected socket with send(..., MSG_NOSIGNAL),
 /// retrying short writes and EINTR. Returns false on any unrecoverable

@@ -1,12 +1,7 @@
 #include "obs/admin_server.h"
 
 #include <sys/socket.h>
-#include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
-
-#include "net/socket_io.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
@@ -18,14 +13,6 @@ namespace {
 // Requests are tiny (a GET line + a handful of headers); anything larger
 // is not a scraper and gets 400.
 constexpr size_t kMaxRequestBytes = 8192;
-
-// Read/write deadline per connection, so a stalled client cannot hold the
-// single-threaded serve loop hostage.
-constexpr int kIoTimeoutMs = 2000;
-
-// Accept-poll granularity; bounds how long Stop() waits for the accept
-// thread to notice the stop flag.
-constexpr int kIdlePollMs = 50;
 
 bool WriteResponse(int fd, int status, const char* reason,
                    const std::string& content_type, const std::string& body) {
@@ -39,7 +26,9 @@ bool WriteResponse(int fd, int status, const char* reason,
 
 }  // namespace
 
-AdminServer::AdminServer(AdminServerOptions options) : options_(options) {
+AdminServer::AdminServer(AdminServerOptions options)
+    : options_(options),
+      server_([this](int fd, uint64_t) { ServeConnection(fd); }) {
   RegisterHandler("/metrics", "text/plain; version=0.0.4; charset=utf-8",
                   [] { return MetricRegistry::Global().ToPrometheusText(); });
   RegisterHandler("/healthz", "text/plain; charset=utf-8",
@@ -68,45 +57,10 @@ void AdminServer::RegisterHandler(const std::string& path,
 }
 
 bool AdminServer::Start(std::string* error) {
-  if (started_) return true;
-  uint16_t bound = 0;
-  const int fd = net::ListenLoopback(options_.port, &bound);
-  if (fd < 0) {
-    if (error != nullptr) {
-      *error = "cannot bind loopback port " + std::to_string(options_.port) +
-               ": " + std::strerror(errno);
-    }
-    return false;
-  }
-  listen_fd_ = fd;
-  port_.store(bound, std::memory_order_release);
-  stop_.store(false, std::memory_order_release);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  started_ = true;
-  return true;
+  return server_.Start(options_.port, error);
 }
 
-void AdminServer::Stop() {
-  if (!started_) return;
-  stop_.store(true, std::memory_order_release);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  port_.store(0, std::memory_order_release);
-  started_ = false;
-}
-
-void AdminServer::AcceptLoop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    const int conn = net::AcceptWithTimeout(listen_fd_, kIdlePollMs);
-    if (conn < 0) continue;  // idle tick or failed accept: re-check stop
-    net::SetSocketDeadlines(conn, kIoTimeoutMs, kIoTimeoutMs);
-    ServeConnection(conn);
-    ::close(conn);
-  }
-}
+void AdminServer::Stop() { server_.Stop(); }
 
 void AdminServer::ServeConnection(int fd) {
   // Read until the end of the request headers; the body (none expected for

@@ -7,11 +7,14 @@
 // whatever the embedding service registers) scrapeable while the process
 // runs, instead of trapped until a --metrics dump at exit.
 //
-// One blocking accept thread serves one request per connection (HTTP/1.0,
-// Connection: close) with socket deadlines on both directions, so a stalled
-// scraper cannot wedge the plane for longer than the per-connection
-// timeout. Responses go through net::SendAll (send with MSG_NOSIGNAL),
-// same as the shipping path.
+// Connections come from net::LoopbackServer, the accept loop the collector
+// and the fault proxy share: each connection gets its own thread, which
+// serves one request (HTTP/1.0, Connection: close) under socket deadlines
+// on both directions, and finished threads are joined before the next
+// accept. A stalled scraper therefore holds only its own thread, for at
+// most the per-connection timeout; /healthz keeps answering meanwhile.
+// Responses go through net::SendAll (send with MSG_NOSIGNAL), same as the
+// shipping path.
 //
 // Built-in endpoints (all GET):
 //   /metrics     Prometheus text exposition (MetricRegistry).
@@ -25,13 +28,13 @@
 // RS_METRICS=OFF — the exports are just empty. See docs/observability.md.
 // ---------------------------------------------------------------------------
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
+
+#include "net/socket_io.h"
 
 namespace robust_sampling {
 namespace obs {
@@ -45,8 +48,9 @@ struct AdminServerOptions {
 class AdminServer {
  public:
   /// A handler renders the current body for its path on every request.
-  /// Called from the accept thread; must be safe to invoke concurrently
-  /// with the embedding service's own threads.
+  /// Each connection runs on its own thread, so a handler must be
+  /// thread-safe: it runs concurrently with itself, with other handlers,
+  /// and with the embedding service's own threads.
   using Handler = std::function<std::string()>;
 
   explicit AdminServer(AdminServerOptions options = {});
@@ -55,16 +59,16 @@ class AdminServer {
   AdminServer(const AdminServer&) = delete;
   AdminServer& operator=(const AdminServer&) = delete;
 
-  /// Binds, listens, and starts the accept thread. Returns false (with a
-  /// reason in *error when given) if the port cannot be bound.
+  /// Binds, listens, and starts accepting. Returns false (with a reason
+  /// in *error when given) if the port cannot be bound.
   bool Start(std::string* error = nullptr);
 
-  /// Stops the accept thread and closes the listening socket. Idempotent;
-  /// also run by the destructor.
+  /// Stops accepting, closes the listening socket, and joins every
+  /// connection. Idempotent; also run by the destructor.
   void Stop();
 
-  /// The bound port (resolves port=0 ephemeral binds); 0 before Start.
-  uint16_t port() const { return port_.load(std::memory_order_acquire); }
+  /// The bound port (resolves port=0 ephemeral binds); 0 when stopped.
+  uint16_t port() const { return server_.port(); }
 
   /// Registers (or replaces) `GET path` -> 200 with `content_type`. The
   /// built-in endpoints are registered at construction and can be
@@ -78,18 +82,15 @@ class AdminServer {
     Handler handler;
   };
 
-  void AcceptLoop();
   void ServeConnection(int fd);
 
   AdminServerOptions options_;
-  std::atomic<uint16_t> port_{0};
-  int listen_fd_ = -1;
-  std::atomic<bool> stop_{false};
-  bool started_ = false;
-  std::thread accept_thread_;
 
   std::mutex handlers_mu_;
   std::map<std::string, Endpoint> handlers_;
+
+  // Declared after the handlers its connection threads use.
+  net::LoopbackServer server_;
 };
 
 }  // namespace obs

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "net/protocol.h"
 #include "net/snapshot_shipper.h"
 #include "net/socket_io.h"
+#include "obs/admin_server.h"
 #include "obs/catalog.h"
 #include "obs/metrics.h"
 #include "pipeline/sketch_config.h"
@@ -80,6 +82,29 @@ std::vector<uint8_t> SnapshotBytes(const StreamSketch<int64_t>& sketch,
 std::string TempPath(const std::string& name) {
   const char* dir = std::getenv("TMPDIR");
   return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
+}
+
+/// Minimal HTTP/1.0 GET against an admin plane (obs_admin_test covers the
+/// server itself; this file covers the embedding and connection reaping).
+std::string HttpGetBody(uint16_t port, const std::string& path,
+                        int* status_out) {
+  const int fd = net::ConnectWithDeadline("127.0.0.1", port, 2000);
+  EXPECT_GE(fd, 0);
+  if (fd < 0) return "";
+  net::SetSocketDeadlines(fd, 5000, 5000);
+  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
+  EXPECT_TRUE(net::SendAll(fd, request.data(), request.size()));
+  std::string response;
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = read(fd, buf, sizeof(buf))) > 0) {
+    response.append(buf, static_cast<size_t>(n));
+  }
+  close(fd);
+  const size_t header_end = response.find("\r\n\r\n");
+  if (header_end == std::string::npos || response.size() < 12) return "";
+  *status_out = std::atoi(response.substr(9, 3).c_str());
+  return response.substr(header_end + 4);
 }
 
 /// Binds an ephemeral loopback port, closes it, and returns the number —
@@ -329,36 +354,69 @@ uint64_t VmSizeKib() {
   return 0;
 }
 
-// The collector must join each finished connection thread before it
-// accepts the next connection. Otherwise every connection it ever served
-// keeps its thread and mapped stack (megabytes of address space each)
-// until Stop(), and VmSize grows by one stack per cycle.
-TEST(CollectorTest, SequentialConnectionsDoNotPileUpThreads) {
-  net::Collector<int64_t> collector(net::CollectorOptions{});
-  ASSERT_TRUE(collector.Start());
-  const auto connect_query_close = [&collector] {
-    net::CollectorClient<int64_t> client;
-    ASSERT_TRUE(client.Connect("127.0.0.1", collector.port()));
-    double q = 0.0;
-    net::Status status = net::Status::kOk;
-    EXPECT_FALSE(client.Quantile(0.5, &q, &status));
-    EXPECT_EQ(status, net::Status::kEmpty);
-  };
+/// Runs `cycle` (one connect/request/close) 300 times after a warm-up
+/// and checks that the process's address space did not grow by a thread
+/// stack per cycle.
+void ExpectNoThreadPileUp(const std::function<void()>& cycle) {
   // Warm-up: the first cycles map allocator arenas and thread stacks
   // that later cycles reuse.
-  for (int i = 0; i < 20; ++i) connect_query_close();
+  for (int i = 0; i < 20; ++i) cycle();
   const uint64_t before_kib = VmSizeKib();
   ASSERT_GT(before_kib, 0u);
   constexpr int kCycles = 300;
-  for (int i = 0; i < kCycles; ++i) connect_query_close();
+  for (int i = 0; i < kCycles; ++i) cycle();
   const uint64_t after_kib = VmSizeKib();
-  collector.Stop();
   // 300 leaked stacks add 600 MiB (2 MiB stacks) to 2.4 GiB (8 MiB).
   // Joined threads reuse their stacks; what remains is allocator noise,
   // such as a 64 MiB malloc arena for an occasional overlapping thread.
   EXPECT_LT(after_kib, before_kib + 256 * 1024)
       << "VmSize grew from " << before_kib << " KiB to " << after_kib
-      << " KiB over " << kCycles << " connect/query/close cycles";
+      << " KiB over " << kCycles << " connect/request/close cycles";
+}
+
+// Every loopback server must join each finished connection thread before
+// it accepts the next connection. Otherwise every connection it ever
+// served keeps its thread and mapped stack (megabytes of address space
+// each) until Stop(), and VmSize grows by one stack per cycle. Checked
+// for the collector, for a pass-through FaultProxy in front of it, and
+// for the admin plane.
+TEST(CollectorTest, SequentialConnectionsDoNotPileUpThreads) {
+  net::Collector<int64_t> collector(net::CollectorOptions{});
+  ASSERT_TRUE(collector.Start());
+  net::FaultProxyOptions poptions;
+  poptions.upstream_port = collector.port();
+  net::FaultProxy proxy(poptions);  // empty schedule: every relay kPass
+  ASSERT_TRUE(proxy.Start());
+  obs::AdminServer admin;
+  ASSERT_TRUE(admin.Start());
+
+  const auto connect_query_close = [](uint16_t port) {
+    net::CollectorClient<int64_t> client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", port));
+    double q = 0.0;
+    net::Status status = net::Status::kOk;
+    EXPECT_FALSE(client.Quantile(0.5, &q, &status));
+    EXPECT_EQ(status, net::Status::kEmpty);
+  };
+  {
+    SCOPED_TRACE("collector");
+    ExpectNoThreadPileUp([&] { connect_query_close(collector.port()); });
+  }
+  {
+    SCOPED_TRACE("fault proxy in front of the collector");
+    ExpectNoThreadPileUp([&] { connect_query_close(proxy.port()); });
+  }
+  {
+    SCOPED_TRACE("admin server");
+    ExpectNoThreadPileUp([&] {
+      int status = 0;
+      EXPECT_EQ(HttpGetBody(admin.port(), "/healthz", &status), "ok\n");
+      EXPECT_EQ(status, 200);
+    });
+  }
+  admin.Stop();
+  proxy.Stop();
+  collector.Stop();
 }
 
 // ------------------------------------------------ degradation / outbox ----
@@ -407,6 +465,25 @@ TEST(ShipperTest, KeepLatestOutboxSupersedesWhileCollectorDown) {
   ASSERT_TRUE(freq.has_value());
   EXPECT_DOUBLE_EQ(*freq, reference.EstimateFrequency(7));
   collector.Stop();
+}
+
+// Each shipper draws its own reconnect jitter, so a fleet that loses its
+// collector together does not retry in lockstep; a given shipper id
+// replays the same waits.
+TEST(ShipperTest, BackoffJitterIsPerShipperAndReproducible) {
+  const auto waits = [](uint64_t shipper_id) {
+    net::BackoffJitter jitter(shipper_id);
+    std::vector<int> out;
+    for (int i = 0; i < 16; ++i) out.push_back(jitter.NextMs(2000));
+    return out;
+  };
+  const std::vector<int> first = waits(1);
+  EXPECT_NE(first, waits(2));
+  EXPECT_EQ(first, waits(1));
+  for (const int ms : first) {
+    EXPECT_GE(ms, 1000);
+    EXPECT_LE(ms, 2000);
+  }
 }
 
 // ------------------------------------------------------- fault matrix ----
@@ -1143,29 +1220,6 @@ TEST(FreshnessTest, V1ShipFrameWithoutFreshnessTailStillAccepted) {
 }
 
 // --------------------------------------------------- embedded admin ----
-
-/// Minimal HTTP/1.0 GET against the collector's embedded admin plane
-/// (obs_admin_test covers the server itself; this covers the embedding).
-std::string HttpGetBody(uint16_t port, const std::string& path,
-                        int* status_out) {
-  const int fd = net::ConnectWithDeadline("127.0.0.1", port, 2000);
-  EXPECT_GE(fd, 0);
-  if (fd < 0) return "";
-  net::SetSocketDeadlines(fd, 5000, 5000);
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  EXPECT_TRUE(net::SendAll(fd, request.data(), request.size()));
-  std::string response;
-  char buf[4096];
-  ssize_t n = 0;
-  while ((n = read(fd, buf, sizeof(buf))) > 0) {
-    response.append(buf, static_cast<size_t>(n));
-  }
-  close(fd);
-  const size_t header_end = response.find("\r\n\r\n");
-  if (header_end == std::string::npos || response.size() < 12) return "";
-  *status_out = std::atoi(response.substr(9, 3).c_str());
-  return response.substr(header_end + 4);
-}
 
 TEST(CollectorAdminTest, EmbeddedPlaneServesShippersView) {
   net::CollectorOptions options;

@@ -2,11 +2,12 @@
 // Exercises the real socket path end to end — every request here opens a
 // TCP connection to the loopback listener, exactly like curl in the CI
 // smoke job. The name matches the ^obs ctest regex, so this whole binary
-// also runs under TSan (admin accept thread vs Start/Stop races).
+// also runs under TSan (connection threads vs Start/Stop races).
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -171,6 +172,24 @@ TEST_F(AdminServerTest, QueryStringIsIgnored) {
   ASSERT_TRUE(Get(server_.port(), "/healthz?verbose=1", &response));
   EXPECT_EQ(response.status, 200);
   EXPECT_EQ(response.body, "ok\n");
+}
+
+// Each connection is served on its own thread: a client that connects and
+// sends nothing holds only its own thread, so /healthz still answers well
+// inside the 2 s recv deadline the silent client is waiting out.
+TEST_F(AdminServerTest, SilentClientDoesNotBlockHealthz) {
+  const int silent = net::ConnectWithDeadline("127.0.0.1", server_.port(),
+                                              2000);
+  ASSERT_GE(silent, 0);
+  const auto start = std::chrono::steady_clock::now();
+  HttpResponse response;
+  ASSERT_TRUE(Get(server_.port(), "/healthz", &response));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  close(silent);
+  EXPECT_EQ(response.status, 200);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(500))
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count()
+      << " ms";
 }
 
 TEST_F(AdminServerTest, RegisteredHandlerServesCustomPath) {
